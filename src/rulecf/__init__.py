@@ -1,9 +1,9 @@
 """Rule-based explanations for black-box tabular classifiers.
 
 A counterfactual search engine doubles as a consistency oracle: a candidate
-rule whose bound constraints admit no good-outcome instance is globally
-consistent, and when counterfactuals do exist, the components they violate
-tell the search exactly how the rule must grow.
+rule whose box admits no good-outcome instance is globally consistent, and
+when counterfactuals do exist, the components they violate tell the search
+exactly how the rule must grow.
 """
 
 from .cf_engine import (
@@ -14,7 +14,6 @@ from .cf_engine import (
     CounterfactualEngine,
     GoodAnchorError,
     distance,
-    find_counterfactuals,
     reduce_changes,
 )
 from .classifiers import (
@@ -33,14 +32,12 @@ from .consistency import (
     Level,
     brute_force_global_consistent,
     consistency_level,
-    consistent_cf,
 )
 from .dataio import IngestError, export_csv, format_rule, ingest_csv, load_rule_file
 from .duality import (
     CfCache,
     CfOutcome,
     CounterfactualOracle,
-    DualFamily,
     cf_rules,
     dual_of,
     minimal_set_covers,
@@ -81,17 +78,13 @@ from .schema import (
     DualClause,
     FeatureSchema,
     Instance,
-    PlafConstraint,
     Rule,
     RuleComponent,
     SchemaError,
     all_components,
-    cardinality,
-    eval_rule,
     geq,
     leq,
     make_schema,
-    rule_to_plaf,
     trivial_rule,
 )
 

@@ -1,10 +1,10 @@
-"""Counterfactual search under per-feature bound constraints.
+"""Counterfactual search inside a rule's box.
 
-Given a bad-outcome anchor instance and a conjunctive bound constraint, the
-engine looks for good-outcome instances inside the constrained box, drawing
-candidate values only from the schema domains. Small constrained spaces are
+Given a bad-outcome anchor instance and a rule, the engine looks for
+good-outcome instances inside the rule's box (:meth:`DatasetSchema.box`),
+drawing candidate values only from the schema domains. Small boxes are
 enumerated exhaustively, which makes a NotFound answer exact there; larger
-spaces fall back to a seeded genetic search whose initial population contains
+boxes fall back to a seeded genetic search whose initial population contains
 every admissible single-feature perturbation of the anchor, so any classifier
 whose bad region is a single axis-aligned box is still decided exactly.
 
@@ -14,15 +14,15 @@ can be reverted to the anchor value without losing the good outcome.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .classifiers import Classifier, is_bad_score
-from .schema import Dataset, DatasetSchema, Instance, PlafConstraint, SchemaError
+from .classifiers import Classifier, good_mask, is_bad_score
+from .schema import EMPTY_RULE, Dataset, DatasetSchema, Instance, Rule, SchemaError
 
 
 class GoodAnchorError(ValueError):
@@ -51,10 +51,10 @@ class CfBudget:
 
 @dataclass(frozen=True)
 class CfQuery:
-    """A request for up to ``k`` counterfactuals of ``anchor`` under ``plaf``."""
+    """A request for up to ``k`` counterfactuals of ``anchor`` inside ``rule``'s box."""
 
     anchor: tuple
-    plaf: PlafConstraint = PlafConstraint()
+    rule: Rule = EMPTY_RULE
     k: int = 10
     budget: CfBudget = CfBudget()
     seed: int = 0
@@ -72,6 +72,10 @@ class Counterfactual:
     instance: tuple
     changed: frozenset
     distance: float
+
+    @classmethod
+    def of(cls, anchor: Instance, x: tuple, schema: DatasetSchema) -> "Counterfactual":
+        return cls(x, changed_features(anchor, x), distance(anchor, x, schema))
 
     @property
     def sort_key(self) -> tuple:
@@ -112,33 +116,46 @@ def distance(x: Instance, x_prime: Instance, schema: DatasetSchema) -> float:
     return 0.5 * count / n + 0.5 * shift
 
 
+def _revert_while_good(anchor: Instance, cand: tuple, good: Callable) -> tuple:
+    """Revert changed features to the anchor one at a time while ``good``
+    accepts the reverted instance.
+
+    Reverts are attempted in ascending feature order and restarted after each
+    success, so the result is deterministic. ``good`` answers False both for
+    a bad outcome and for a revert the caller must skip.
+    """
+    current = cand
+    while True:
+        for j in sorted(changed_features(anchor, current)):
+            reverted = current[:j] + (anchor[j],) + current[j + 1:]
+            if good(reverted):
+                current = reverted
+                break
+        else:
+            return current
+
+
 def reduce_changes(
     anchor: Instance,
     cand: Instance,
     model: Classifier,
-    plaf: Optional[PlafConstraint] = None,
+    rule: Rule = EMPTY_RULE,
 ) -> tuple:
     """Revert changed features one at a time while the outcome stays good.
 
-    Reverts are attempted in ascending feature order and restarted after each
-    success, so the result is deterministic. When ``plaf`` is given, a revert
-    that would leave the constrained box is skipped.
+    A revert that would leave ``rule``'s box is skipped.
     """
     cand = tuple(float(v) for v in cand)
     anchor = tuple(float(v) for v in anchor)
     if is_bad_score(model.predict(cand)):
         raise ValueError("candidate must have a good outcome before reduction")
-    current = cand
-    while True:
-        for j in sorted(changed_features(anchor, current)):
-            reverted = current[:j] + (anchor[j],) + current[j + 1:]
-            if plaf is not None and not plaf.satisfied_by(reverted):
-                continue
-            if not is_bad_score(model.predict(reverted)):
-                current = reverted
-                break
-        else:
-            return current
+    return _revert_while_good(
+        anchor, cand, lambda x: rule.evaluate(x) and not is_bad_score(model.predict(x))
+    )
+
+
+def _ranked(found: dict, k: int) -> CfResult:
+    return CfResult(tuple(sorted(found.values(), key=lambda cf: cf.sort_key)[:k]))
 
 
 class CounterfactualEngine:
@@ -149,19 +166,6 @@ class CounterfactualEngine:
         self.generations = 0
         self.exhaustive_runs = 0
 
-    # -- shared helpers -----------------------------------------------------
-
-    @staticmethod
-    def _restricted_domains(schema: DatasetSchema, plaf: PlafConstraint) -> list:
-        return [plaf.restrict(schema.domain(j), j) for j in range(schema.n)]
-
-    @staticmethod
-    def _space_size(restricted: list) -> int:
-        size = 1
-        for values in restricted:
-            size *= len(values)
-        return size
-
     def find_counterfactuals(self, model: Classifier, data: Dataset, query: CfQuery) -> CfResult:
         schema = data.schema
         schema.validate_instance(query.anchor)
@@ -169,72 +173,42 @@ class CounterfactualEngine:
             raise GoodAnchorError("anchor instance already has the good outcome")
         self.queries += 1
 
-        restricted = self._restricted_domains(schema, query.plaf)
-        if any(not values for values in restricted):
+        box = schema.box(query.rule)
+        size = math.prod(len(r) for r in box)
+        if size == 0:
             return NOT_FOUND
-        if self._space_size(restricted) <= query.budget.exhaustive_cap:
-            return self._exhaustive(model, schema, query, restricted)
-        return self._genetic(model, schema, query, restricted)
+        if size <= query.budget.exhaustive_cap:
+            return self._exhaustive(model, schema, query, box)
+        return self._genetic(model, schema, query, box)
 
     # -- exhaustive path ----------------------------------------------------
 
-    def _exhaustive(self, model, schema, query, restricted) -> CfResult:
+    def _exhaustive(self, model, schema, query, box) -> CfResult:
         self.exhaustive_runs += 1
         anchor = query.anchor
-        scores: dict = {}
-        chunk: list = []
-
-        def flush():
-            if not chunk:
-                return
-            batch_scores = model.predict_batch(np.asarray(chunk, dtype=np.float64))
-            for inst, sc in zip(chunk, batch_scores):
-                scores[inst] = float(sc)
-            chunk.clear()
-
-        for values in itertools.product(*restricted):
-            chunk.append(values)
-            if len(chunk) >= 4096:
-                flush()
-        flush()
-
-        goods = sorted(
-            (inst for inst, sc in scores.items() if not is_bad_score(sc)),
-            key=lambda inst: (distance(anchor, inst, schema), inst),
-        )
-        if not goods:
-            return NOT_FOUND
-
-        def reduce_cached(inst: tuple) -> tuple:
-            current = inst
-            while True:
-                for j in sorted(changed_features(anchor, current)):
-                    reverted = current[:j] + (anchor[j],) + current[j + 1:]
-                    sc = scores.get(reverted)
-                    if sc is not None and not is_bad_score(sc):
-                        current = reverted
-                        break
-                else:
-                    return current
+        goods: list = []
+        for points in schema.box_points(box, 4096):
+            goods.extend(map(tuple, points[good_mask(model.predict_batch(points))].tolist()))
+        # a revert is accepted iff it lands on a good point of the box
+        good_set = set(goods)
+        goods.sort(key=lambda inst: (distance(anchor, inst, schema), inst))
 
         found: dict = {}
         for inst in goods:
-            reduced = reduce_cached(inst)
+            reduced = _revert_while_good(anchor, inst, good_set.__contains__)
             if reduced not in found:
-                found[reduced] = Counterfactual(
-                    reduced, changed_features(anchor, reduced), distance(anchor, reduced, schema)
-                )
+                found[reduced] = Counterfactual.of(anchor, reduced, schema)
             if len(found) >= query.k:
                 break
-        ranked = sorted(found.values(), key=lambda cf: cf.sort_key)[: query.k]
-        return CfResult(tuple(ranked))
+        return _ranked(found, query.k)
 
     # -- genetic path -------------------------------------------------------
 
-    def _genetic(self, model, schema, query, restricted) -> CfResult:
+    def _genetic(self, model, schema, query, box) -> CfResult:
         anchor = query.anchor
         budget = query.budget
         rng = random.Random(query.seed)
+        domains = [schema.domain(j) for j in range(schema.n)]
         scores: dict = {}
 
         def evaluate(cands: Iterable[tuple]) -> None:
@@ -245,60 +219,57 @@ class CounterfactualEngine:
             for inst, sc in zip(fresh, batch):
                 scores[inst] = float(sc)
 
-        # base point: the anchor projected into the constrained box
+        anchor_pos = [int(np.searchsorted(v, a)) for v, a in zip(schema.domain_arrays, anchor)]
+        # every candidate lies in the box, so reverting feature j leaves the
+        # box iff the anchor's own value lies outside box[j]
+        outside = [j for j, r in enumerate(box) if anchor_pos[j] not in r]
+
+        def good(inst: tuple) -> bool:
+            for j in outside:
+                if inst[j] == anchor[j]:
+                    return False
+            if inst not in scores:
+                evaluate([inst])
+            return not is_bad_score(scores[inst])
+
+        def replaced(inst: tuple, j: int, p: int) -> tuple:
+            """``inst`` with feature ``j`` set to the ``p``-th value of its
+            index range other than ``inst[j]`` (which lies in that range)."""
+            i = box[j].start + p
+            if domains[j][i] >= inst[j]:
+                i += 1
+            return inst[:j] + (domains[j][i],) + inst[j + 1:]
+
+        # base point: the anchor projected into the box, i.e. its own value
+        # or the nearer end of each index range
         base = tuple(
-            anchor[j]
-            if anchor[j] in restricted[j]
-            else min(restricted[j], key=lambda v: (abs(v - anchor[j]), v))
-            for j in range(schema.n)
+            domains[j][min(max(i, r.start), r.stop - 1)]
+            for j, (i, r) in enumerate(zip(anchor_pos, box))
         )
-        revert_ok = [anchor[j] in restricted[j] for j in range(schema.n)]
-        mutable = [j for j in range(schema.n) if len(restricted[j]) > 1]
+        mutable = [j for j in range(schema.n) if len(box[j]) > 1]
 
         seeds = [base]
-        single_total = sum(len(restricted[j]) - 1 for j in mutable)
-        if single_total <= budget.seed_cap:
-            for j in mutable:
-                for v in restricted[j]:
-                    if v != base[j]:
-                        seeds.append(base[:j] + (v,) + base[j + 1:])
-        else:
-            per_feature = max(1, budget.seed_cap // max(1, len(mutable)))
-            for j in mutable:
-                options = [v for v in restricted[j] if v != base[j]]
-                take = options if len(options) <= per_feature else rng.sample(options, per_feature)
-                for v in sorted(take):
-                    seeds.append(base[:j] + (v,) + base[j + 1:])
+        single_total = sum(len(box[j]) - 1 for j in mutable)
+        per_feature = max(1, budget.seed_cap // max(1, len(mutable)))
+        for j in mutable:
+            count = len(box[j]) - 1
+            if single_total <= budget.seed_cap or count <= per_feature:
+                picks = range(count)
+            else:
+                picks = sorted(rng.sample(range(count), per_feature))
+            seeds.extend(replaced(base, j, p) for p in picks)
         evaluate(seeds)
 
         goods: dict = {}
-
-        def reduce_within(inst: tuple) -> tuple:
-            current = inst
-            while True:
-                for j in sorted(changed_features(anchor, current)):
-                    if not revert_ok[j]:
-                        continue
-                    reverted = current[:j] + (anchor[j],) + current[j + 1:]
-                    evaluate([reverted])
-                    if not is_bad_score(scores[reverted]):
-                        current = reverted
-                        break
-                else:
-                    return current
 
         def absorb(cands: Iterable[tuple]) -> int:
             new = 0
             for inst in cands:
                 if is_bad_score(scores[inst]):
                     continue
-                reduced = reduce_within(inst)
+                reduced = _revert_while_good(anchor, inst, good)
                 if reduced not in goods:
-                    goods[reduced] = Counterfactual(
-                        reduced,
-                        changed_features(anchor, reduced),
-                        distance(anchor, reduced, schema),
-                    )
+                    goods[reduced] = Counterfactual.of(anchor, reduced, schema)
                     new += 1
             return new
 
@@ -336,10 +307,7 @@ class CounterfactualEngine:
                 else:
                     parent = rng.choice(pop)
                     j = rng.choice(mutable)
-                    options = [v for v in restricted[j] if v != parent[j]]
-                    if options:
-                        v = options[rng.randrange(len(options))]
-                        offspring.append(parent[:j] + (v,) + parent[j + 1:])
+                    offspring.append(replaced(parent, j, rng.randrange(len(box[j]) - 1)))
             evaluate(offspring)
             self.generations += 1
             new = absorb(offspring)
@@ -349,17 +317,4 @@ class CounterfactualEngine:
                 no_good_gens += 1
             pop = select(pop + offspring)
 
-        if not goods:
-            return NOT_FOUND
-        ranked = sorted(goods.values(), key=lambda cf: cf.sort_key)[: query.k]
-        return CfResult(tuple(ranked))
-
-
-def find_counterfactuals(
-    model: Classifier,
-    data: Dataset,
-    query: CfQuery,
-    engine: Optional[CounterfactualEngine] = None,
-) -> CfResult:
-    """One-shot convenience wrapper over :class:`CounterfactualEngine`."""
-    return (engine or CounterfactualEngine()).find_counterfactuals(model, data, query)
+        return _ranked(goods, query.k)

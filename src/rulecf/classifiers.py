@@ -27,6 +27,11 @@ def is_bad_score(score: float) -> bool:
     return score <= BAD_THRESHOLD
 
 
+def good_mask(scores) -> np.ndarray:
+    """Vectorised good-outcome test: True where a score exceeds the threshold."""
+    return np.asarray(scores) > BAD_THRESHOLD
+
+
 class ModelFormatError(ValueError):
     """A model file could not be parsed or failed validation."""
 
@@ -170,19 +175,21 @@ class TreeClassifier(Classifier):
 
     def _score_batch(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X), dtype=np.float64)
-
-        def descend(nid: int, idx: np.ndarray) -> None:
+        # an explicit stack, not a recursive closure: a closure that refers
+        # to itself is a reference cycle, and it would keep X and out alive
+        # until the garbage collector runs
+        stack = [(self.ROOT, np.arange(len(X)))]
+        while stack:
+            nid, idx = stack.pop()
             if len(idx) == 0:
-                return
+                continue
             node = self.nodes[nid]
             if isinstance(node, TreeLeaf):
                 out[idx] = node.score
-                return
+                continue
             go_left = X[idx, node.feature] <= node.threshold
-            descend(node.left, idx[go_left])
-            descend(node.right, idx[~go_left])
-
-        descend(self.ROOT, np.arange(len(X)))
+            stack.append((node.left, idx[go_left]))
+            stack.append((node.right, idx[~go_left]))
         return out
 
 

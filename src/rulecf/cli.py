@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -18,13 +19,13 @@ from .consistency import (
     BruteForceOutcome,
     brute_force_global_consistent,
     consistency_level,
-    consistent_cf,
     violations_in_data,
 )
 from .dataio import IngestError, format_rule, ingest_csv, load_rule_file
+from .duality import CounterfactualOracle
 from .explainers import SearchParams
 from .harness import ALGORITHMS, default_experiment_schema, run_experiment_suite
-from .schema import SchemaError, make_schema, rule_to_plaf
+from .schema import SchemaError, make_schema
 
 
 def _parse_groups(raw_groups):
@@ -166,15 +167,12 @@ def cmd_verify(args) -> int:
         anchor = data.row(args.instance)
         if not rule.is_relevant_to(anchor):
             raise SchemaError("rule is not relevant to the chosen instance")
-        ok = consistent_cf(rule, anchor, model, data, seed=args.seed)
+        ok = CounterfactualOracle(model, data, seed=args.seed).consistent(rule, anchor)
         print(f"cf_consistent={str(ok).lower()}")
     else:
         outcome = brute_force_global_consistent(rule, model, data.schema)
-        sizes = 1
-        plaf = rule_to_plaf(rule)
-        for j in range(data.schema.n):
-            sizes *= len(plaf.restrict(data.schema.domain(j), j))
-        print(f"outcome={outcome.value} restricted_space={sizes}")
+        size = math.prod(len(r) for r in data.schema.box(rule))
+        print(f"outcome={outcome.value} restricted_space={size}")
         if outcome is BruteForceOutcome.TOO_LARGE:
             return 1
     return 0

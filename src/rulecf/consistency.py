@@ -1,19 +1,16 @@
-"""Consistency checks: over the database, over samples, via the counterfactual
-oracle, and via exact enumeration for test-scale spaces."""
+"""Consistency checks: over the database, over samples drawn from a rule's
+box, and via exact enumeration of the box for test-scale spaces."""
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .cf_engine import CfBudget, CounterfactualEngine
-from .classifiers import Classifier
-from .duality import CfCache, CounterfactualOracle, derive_seed, _rule_digest
-from .schema import Dataset, DatasetSchema, Instance, Rule, SchemaError, rule_to_plaf
+from .classifiers import Classifier, good_mask
+from .duality import derive_seed, _rule_digest
+from .schema import Dataset, DatasetSchema, Rule, SchemaError
 
 
 class Level(enum.IntEnum):
@@ -50,22 +47,16 @@ class ConsistencyLevel:
         return cls(Level.GC, 0, 0)
 
 
-def restricted_domains(schema: DatasetSchema, rule: Rule) -> list:
-    """Per-feature domain values admitted by the rule's bounds."""
-    plaf = rule_to_plaf(rule)
-    return [plaf.restrict(schema.domain(j), j) for j in range(schema.n)]
-
-
 def sample_satisfying(
     schema: DatasetSchema, rule: Rule, s: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``s`` instances of the rule's satisfying set, uniform per feature."""
-    restricted = restricted_domains(schema, rule)
-    if any(not values for values in restricted):
+    box = schema.box(rule)
+    if any(not r for r in box):
         raise SchemaError("rule admits no instance; nothing to sample")
     cols = [
-        rng.choice(np.asarray(values, dtype=np.float64), size=s)
-        for values in restricted
+        values[rng.integers(r.start, r.stop, size=s)]
+        for values, r in zip(schema.domain_arrays, box)
     ]
     return np.column_stack(cols)
 
@@ -78,7 +69,7 @@ def violations_in_data(rule: Rule, data: Dataset, model: Classifier) -> int:
     if not mask.any():
         return 0
     scores = model.predict_batch(data.matrix[mask])
-    return int(np.count_nonzero(scores > 0.5))
+    return int(np.count_nonzero(good_mask(scores)))
 
 
 def consistency_level(
@@ -101,27 +92,8 @@ def consistency_level(
     rng = np.random.default_rng(derive_seed(seed, "vs", _rule_digest(rule)))
     samples = sample_satisfying(data.schema, rule, s, rng)
     scores = model.predict_batch(samples)
-    vs = int(np.count_nonzero(scores > 0.5))
+    vs = int(np.count_nonzero(good_mask(scores)))
     return ConsistencyLevel.from_counts(0, vs)
-
-
-def consistent_cf(
-    rule: Rule,
-    x: Instance,
-    model: Classifier,
-    data: Dataset,
-    cache: Optional[CfCache] = None,
-    k: int = 10,
-    budget: Optional[CfBudget] = None,
-    seed: int = 0,
-    engine: Optional[CounterfactualEngine] = None,
-) -> bool:
-    """True iff the counterfactual search under the rule's bounds comes back
-    empty; cached per rule when a cache is supplied."""
-    oracle = CounterfactualOracle(
-        model, data, k=k, budget=budget, seed=seed, cache=cache, engine=engine
-    )
-    return oracle.consistent(rule, x)
 
 
 class BruteForceOutcome(enum.Enum):
@@ -137,41 +109,13 @@ def brute_force_global_consistent(
     cap: int = 1_000_000,
 ) -> BruteForceOutcome:
     """Exact consistency by enumerating the rule's satisfying set, if small."""
-    plaf = rule_to_plaf(rule)
-    restricted = [plaf.restrict(schema.domain(j), j) for j in range(schema.n)]
+    box = schema.box(rule)
     size = 1
-    for values in restricted:
-        size *= len(values)
+    for r in box:
+        size *= len(r)
         if size > cap:
             return BruteForceOutcome.TOO_LARGE
-    if size == 0:
-        return BruteForceOutcome.CONSISTENT
-    chunk: list = []
-
-    def has_good() -> bool:
-        scores = model.predict_batch(np.asarray(chunk, dtype=np.float64))
-        chunk.clear()
-        return bool(np.any(scores > 0.5))
-
-    for values in itertools.product(*restricted):
-        chunk.append(values)
-        if len(chunk) >= 8192 and has_good():
+    for points in schema.box_points(box, 8192):
+        if good_mask(model.predict_batch(points)).any():
             return BruteForceOutcome.INCONSISTENT
-    if chunk and has_good():
-        return BruteForceOutcome.INCONSISTENT
     return BruteForceOutcome.CONSISTENT
-
-
-def brute_force_has_counterfactual(
-    anchor: Instance,
-    rule: Rule,
-    model: Classifier,
-    schema: DatasetSchema,
-    cap: int = 1_000_000,
-) -> Optional[bool]:
-    """Existence oracle used in tests: is there a good instance satisfying the
-    rule's bounds? ``None`` when the space exceeds ``cap``."""
-    outcome = brute_force_global_consistent(rule, model, schema, cap)
-    if outcome is BruteForceOutcome.TOO_LARGE:
-        return None
-    return outcome is BruteForceOutcome.INCONSISTENT

@@ -23,28 +23,7 @@ from .schema import (
     Rule,
     RuleComponent,
     SchemaError,
-    rule_to_plaf,
 )
-
-
-@dataclass(frozen=True)
-class DualFamily:
-    """The clause set built from one batch of counterfactuals."""
-
-    clauses: tuple = ()
-
-    def __post_init__(self):
-        clauses = tuple(dict.fromkeys(self.clauses))
-        for clause in clauses:
-            if not clause.components:
-                raise SchemaError("dual family cannot contain an empty clause")
-        object.__setattr__(self, "clauses", clauses)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-    def __iter__(self):
-        return iter(self.clauses)
 
 
 def dual_of(anchor: Instance, x: Instance) -> DualClause:
@@ -195,7 +174,7 @@ class CounterfactualOracle:
             return cached
         query = CfQuery(
             anchor=tuple(anchor),
-            plaf=rule_to_plaf(rule),
+            rule=rule,
             k=self.k,
             budget=self.budget,
             seed=derive_seed(self.seed, "cf", _rule_digest(rule)),
@@ -244,8 +223,7 @@ def cf_rules(
 ) -> Tuple[list, set]:
     """Expand candidate rules through the counterfactual oracle.
 
-    For each uncached rule the oracle is queried once under the rule's own
-    bound constraints. Rules with no counterfactual are reported as verified
+    For each uncached rule the oracle is queried once for the rule's own box. Rules with no counterfactual are reported as verified
     consistent; for the rest, each minimal cover of the dual clauses yields
     one strictly larger candidate.
     """

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .cf_engine import CfBudget, GoodAnchorError
-from .classifiers import Classifier
+from .classifiers import Classifier, good_mask
 from .consistency import ConsistencyLevel, Level, sample_satisfying
 from .duality import (
     CfCache,
@@ -188,7 +188,7 @@ class _Scorer:
         self.schema = data.schema
         if data.m:
             d_scores = model.predict_batch(data.matrix)
-            self._good_rows = data.matrix[d_scores > 0.5]
+            self._good_rows = data.matrix[good_mask(d_scores)]
         else:
             self._good_rows = np.zeros((0, self.schema.n))
         g = len(self._good_rows)
@@ -228,7 +228,7 @@ class _Scorer:
         else:
             rng = np.random.default_rng(derive_seed(self.seed, "vs", _rule_digest(rule)))
             samples = sample_satisfying(self.schema, rule, self.s, rng)
-            vs = int(np.count_nonzero(self.model.predict_batch(samples) > 0.5))
+            vs = int(np.count_nonzero(good_mask(self.model.predict_batch(samples))))
             result = ConsistencyLevel.from_counts(0, vs)
         self._levels[rule] = result
         return result

@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, RuleClassifier
-from .consistency import Level, consistency_level
+from .classifiers import Classifier, RuleClassifier, good_mask
+from .consistency import Level, consistency_level, sample_satisfying
 from .duality import CounterfactualOracle, derive_seed
 from .explainers import (
     ExplanationResult,
@@ -23,6 +23,7 @@ from .explainers import (
     greedy_rule_cf,
 )
 from .schema import (
+    EMPTY_RULE,
     Dataset,
     DatasetSchema,
     Direction,
@@ -32,7 +33,6 @@ from .schema import (
     SchemaError,
     all_components,
     make_schema,
-    rule_to_plaf,
 )
 
 ALGORITHMS = {
@@ -54,12 +54,8 @@ def default_experiment_schema(features: int = 12) -> DatasetSchema:
 def synthetic_dataset(schema: DatasetSchema, rows: int, seed: int = 0) -> Dataset:
     """Rows drawn per feature uniformly from the schema domains."""
     rng = np.random.default_rng(derive_seed(seed, "dataset"))
-    cols = [
-        rng.choice(np.asarray(schema.domain(j), dtype=np.float64), size=rows)
-        for j in range(schema.n)
-    ]
-    matrix = np.column_stack(cols)
-    return Dataset(schema, tuple(tuple(row) for row in matrix))
+    matrix = sample_satisfying(schema, EMPTY_RULE, rows, rng)
+    return Dataset(schema, tuple(map(tuple, matrix.tolist())))
 
 
 def box_dataset(schema: DatasetSchema, rule: Rule, rows: int, seed: int = 0) -> Dataset:
@@ -68,14 +64,9 @@ def box_dataset(schema: DatasetSchema, rule: Rule, rows: int, seed: int = 0) -> 
     Used as the per-trial history for synthetic experiments: like a database
     of past denials, every row satisfies the ground-truth rule.
     """
-    plaf = rule_to_plaf(rule)
     rng = np.random.default_rng(derive_seed(seed, "box-dataset"))
-    cols = []
-    for j in range(schema.n):
-        values = plaf.restrict(schema.domain(j), j)
-        cols.append(rng.choice(np.asarray(values, dtype=np.float64), size=rows))
-    matrix = np.column_stack(cols)
-    return Dataset(schema, tuple(tuple(row) for row in matrix))
+    matrix = sample_satisfying(schema, rule, rows, rng)
+    return Dataset(schema, tuple(map(tuple, matrix.tolist())))
 
 
 @dataclass(frozen=True)
@@ -135,9 +126,8 @@ def gen_synthetic_classifier(spec: SyntheticSpec, trial: int):
             comps.append(RuleComponent(j, Direction.GEQ, rng.choice(interior)))
     truth = Rule(tuple(comps))
 
-    plaf = rule_to_plaf(truth)
     anchor = tuple(
-        rng.choice(plaf.restrict(schema.domain(j), j)) for j in range(schema.n)
+        schema.domain(j)[rng.choice(r)] for j, r in enumerate(schema.box(truth))
     )
     return RuleClassifier(truth, schema.n), anchor
 
@@ -225,27 +215,13 @@ class _BitsetChecker:
     def __init__(self, model: Classifier, schema: DatasetSchema, universe: Sequence):
         parts = {id(c): [] for c in universe}
         goods = 0
-        chunk: list = []
-
-        def flush():
-            nonlocal goods
-            if not chunk:
-                return
-            arr = np.asarray(chunk, dtype=np.float64)
-            scores = model.predict_batch(arr)
-            good_rows = arr[scores > 0.5]
+        for points in schema.box_points(schema.box(EMPTY_RULE), 8192):
+            good_rows = points[good_mask(model.predict_batch(points))]
             goods += len(good_rows)
             for comp in universe:
                 col = good_rows[:, comp.feature]
                 sat = col <= comp.bound if comp.direction is Direction.LEQ else col >= comp.bound
                 parts[id(comp)].append(sat)
-            chunk.clear()
-
-        for values in itertools.product(*(schema.domain(j) for j in range(schema.n))):
-            chunk.append(values)
-            if len(chunk) >= 8192:
-                flush()
-        flush()
 
         self._universe = list(universe)
         # packbits pads the final byte with low zero bits; build the all-rows

@@ -1,17 +1,21 @@
-"""Core data model: feature schemas, instances, rules, and bound constraints.
+"""Core data model: feature schemas, instances, rules, and rule boxes.
 
 Instances are plain tuples of floats aligned with a :class:`DatasetSchema`.
 Rules are immutable, canonically ordered sets of bound predicates and are
-safe to hash, cache, and share across threads.
+safe to hash, cache, and share across threads. A rule's box, the set of
+instances satisfying it, is a contiguous range of domain indices per feature
+(:meth:`DatasetSchema.box`); every restriction, enumeration and sample of a
+box goes through it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -201,76 +205,6 @@ class DualClause:
 
 
 @dataclass(frozen=True)
-class PlafBound:
-    """Inclusive lower/upper bounds on one feature; ``None`` means unbounded."""
-
-    feature: int
-    lower: Optional[float] = None
-    upper: Optional[float] = None
-
-    def admits(self, value: float) -> bool:
-        if self.lower is not None and value < self.lower:
-            return False
-        if self.upper is not None and value > self.upper:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class PlafConstraint:
-    """Conjunctive per-feature bound constraints on counterfactual search."""
-
-    bounds: tuple = ()
-
-    def __post_init__(self):
-        by_feature: dict = {}
-        for b in self.bounds:
-            prev = by_feature.get(b.feature)
-            if prev is None:
-                by_feature[b.feature] = b
-            else:
-                lo = prev.lower if b.lower is None else (
-                    b.lower if prev.lower is None else max(prev.lower, b.lower))
-                hi = prev.upper if b.upper is None else (
-                    b.upper if prev.upper is None else min(prev.upper, b.upper))
-                by_feature[b.feature] = PlafBound(b.feature, lo, hi)
-        merged = tuple(by_feature[f] for f in sorted(by_feature))
-        object.__setattr__(self, "bounds", merged)
-
-    @classmethod
-    def from_rule(cls, rule: Rule) -> "PlafConstraint":
-        bounds = []
-        for c in rule.components:
-            if c.direction is Direction.LEQ:
-                bounds.append(PlafBound(c.feature, None, c.bound))
-            else:
-                bounds.append(PlafBound(c.feature, c.bound, None))
-        return cls(tuple(bounds))
-
-    def bound_for(self, feature: int) -> Optional[PlafBound]:
-        for b in self.bounds:
-            if b.feature == feature:
-                return b
-        return None
-
-    def satisfied_by(self, x: Instance) -> bool:
-        for b in self.bounds:
-            if b.feature >= len(x):
-                raise SchemaError(
-                    f"instance has {len(x)} values but constraint references feature {b.feature}"
-                )
-            if not b.admits(x[b.feature]):
-                return False
-        return True
-
-    def restrict(self, values: Sequence[float], feature: int) -> tuple:
-        b = self.bound_for(feature)
-        if b is None:
-            return tuple(values)
-        return tuple(v for v in values if b.admits(v))
-
-
-@dataclass(frozen=True)
 class FeatureSchema:
     """One feature: a name and its ordered domain of admissible values."""
 
@@ -322,14 +256,62 @@ class DatasetSchema:
                 return f.index
         raise SchemaError(f"unknown feature name {name!r}")
 
+    @cached_property
+    def domain_arrays(self) -> tuple:
+        """Each feature's domain as an ascending float64 array."""
+        return tuple(np.asarray(f.domain, dtype=np.float64) for f in self.features)
+
+    def box(self, rule: Rule) -> tuple:
+        """Per feature, the ``range`` of domain indices the rule's bounds admit.
+
+        Domains ascend strictly and every bound is an inclusive ``<=`` or
+        ``>=``, so the admitted values of a feature are one contiguous run.
+        """
+        lo = [0] * self.n
+        hi = [len(f.domain) for f in self.features]
+        for c in rule.components:
+            if c.feature >= self.n:
+                raise SchemaError(
+                    f"rule references feature {c.feature}, schema has {self.n} features"
+                )
+            values = self.domain_arrays[c.feature]
+            if c.direction is Direction.LEQ:
+                hi[c.feature] = int(np.searchsorted(values, c.bound, side="right"))
+            else:
+                lo[c.feature] = int(np.searchsorted(values, c.bound, side="left"))
+        return tuple(range(a, b) for a, b in zip(lo, hi))
+
+    def box_points(self, box: Sequence[range], chunk: int) -> Iterator[np.ndarray]:
+        """The box's points as float64 matrices of at most ``chunk`` rows, in
+        ``itertools.product`` order (the last feature varies fastest)."""
+        sizes = [len(r) for r in box]
+        total = math.prod(sizes)
+        for start in range(0, total, chunk):
+            flat = np.arange(start, min(start + chunk, total))
+            points = np.empty((len(flat), len(box)), dtype=np.float64)
+            for j in reversed(range(len(box))):
+                flat, digit = np.divmod(flat, sizes[j])
+                points[:, j] = self.domain_arrays[j][box[j].start + digit]
+            yield points
+
+    def _off_domain(self, X: np.ndarray) -> np.ndarray:
+        """Mask of the entries of a (rows, n) matrix that are no domain value."""
+        off = np.empty(X.shape, dtype=bool)
+        for j, values in enumerate(self.domain_arrays):
+            col = X[:, j]
+            pos = np.minimum(np.searchsorted(values, col), len(values) - 1)
+            off[:, j] = values[pos] != col
+        return off
+
     def validate_instance(self, x: Instance) -> None:
         if len(x) != self.n:
             raise SchemaError(f"instance has {len(x)} values, schema expects {self.n}")
-        for f, v in zip(self.features, x):
-            if v not in f.domain:
-                raise SchemaError(
-                    f"value {v!r} of feature {f.name!r} is not in its domain"
-                )
+        off = self._off_domain(np.asarray(x, dtype=np.float64).reshape(1, self.n))[0]
+        if off.any():
+            j = int(np.argmax(off))
+            raise SchemaError(
+                f"value {x[j]!r} of feature {self.features[j].name!r} is not in its domain"
+            )
 
     def space_size(self) -> int:
         size = 1
@@ -352,26 +334,32 @@ def make_schema(domains: Sequence[Sequence[float]], names: Optional[Sequence[str
 
 @dataclass(frozen=True)
 class Dataset:
-    """A schema plus the historical instances used for consistency checks."""
+    """A schema plus the historical instances used for consistency checks.
+
+    ``matrix`` holds the same rows as a (m, n) float64 array.
+    """
 
     schema: DatasetSchema
     instances: tuple
 
     def __post_init__(self):
         rows = tuple(tuple(_as_value(v) for v in row) for row in self.instances)
-        for row in rows:
-            self.schema.validate_instance(row)
+        n = self.schema.n
+        # rows before the first one of the wrong width fit in the matrix
+        first_bad = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
+        matrix = np.asarray(rows[:first_bad], dtype=np.float64).reshape(first_bad, n)
+        off_rows = self.schema._off_domain(matrix).any(axis=1)
+        if off_rows.any():
+            first_bad = int(np.argmax(off_rows))
+        if first_bad < len(rows):
+            # raises for the first offending value in row-major order
+            self.schema.validate_instance(rows[first_bad])
         object.__setattr__(self, "instances", rows)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def m(self) -> int:
         return len(self.instances)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        if not self.instances:
-            return np.zeros((0, self.schema.n), dtype=np.float64)
-        return np.asarray(self.instances, dtype=np.float64)
 
     def row(self, index: int) -> Instance:
         return self.instances[index]
@@ -388,20 +376,7 @@ def all_components(x: Instance) -> tuple:
 
 # -- module-level operations on rules ---------------------------------------
 
-def eval_rule(rule: Rule, x: Instance) -> bool:
-    """True iff every component predicate holds on ``x``; empty rule is true."""
-    return rule.evaluate(x)
-
-
-def cardinality(rule: Rule) -> int:
-    return rule.cardinality
-
-
 def trivial_rule(x: Instance) -> Rule:
     """The rule with both components per feature; satisfied only at ``x``."""
     return Rule(all_components(x))
 
-
-def rule_to_plaf(rule: Rule) -> PlafConstraint:
-    """Bound constraints equivalent to the rule's conjunction."""
-    return PlafConstraint.from_rule(rule)

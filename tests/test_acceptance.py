@@ -31,7 +31,6 @@ from rulecf import (
     minimal_rule_search,
     minimal_set_covers,
     rank_key,
-    rule_to_plaf,
     trivial_rule,
 )
 from rulecf.consistency import BruteForceOutcome, ConsistencyLevel
@@ -316,7 +315,7 @@ def test_criterion_7_cf_engine_contract():
     engine = CounterfactualEngine()
     queries = 0
     found_count = 0
-    plaf_checked = 0
+    box_checked = 0
 
     # enumerable spaces across all model kinds: agreement is structural
     small = small_schema((4, 4, 4))
@@ -328,20 +327,20 @@ def test_criterion_7_cf_engine_contract():
         if anchor is None:
             continue
         comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.3]
-        plaf = rule_to_plaf(Rule(tuple(comps)))
+        rule = Rule(tuple(comps))
         result = engine.find_counterfactuals(
-            model, small_data, CfQuery(anchor=anchor, plaf=plaf, k=4, seed=queries)
+            model, small_data, CfQuery(anchor=anchor, rule=rule, k=4, seed=queries)
         )
         queries += 1
         exists = any(
-            plaf.satisfied_by(x) and model.predict(x) > 0.5
+            rule.evaluate(x) and model.predict(x) > 0.5
             for x in all_instances(small)
         )
         assert result.found == exists
         for cf in result.counterfactuals:
             found_count += 1
-            plaf_checked += 1
-            assert plaf.satisfied_by(cf.instance)
+            box_checked += 1
+            assert rule.evaluate(cf.instance)
             assert model.predict(cf.instance) > 0.5
             for j in sorted(cf.changed):
                 reverted = cf.instance[:j] + (anchor[j],) + cf.instance[j + 1:]
@@ -356,28 +355,28 @@ def test_criterion_7_cf_engine_contract():
         )
         model, anchor = gen_synthetic_classifier(spec, queries)
         comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.2]
-        plaf = rule_to_plaf(Rule(tuple(comps)))
+        rule = Rule(tuple(comps))
         result = engine.find_counterfactuals(
-            model, big_data, CfQuery(anchor=anchor, plaf=plaf, k=4, seed=queries)
+            model, big_data, CfQuery(anchor=anchor, rule=rule, k=4, seed=queries)
         )
         queries += 1
         exists = False
-        for j in range(big.n):
-            for v in plaf.restrict(big.domain(j), j):
+        for j, r in enumerate(big.box(rule)):
+            for v in big.domain(j)[r.start:r.stop]:
                 y = anchor[:j] + (v,) + anchor[j + 1:]
                 if model.predict(y) > 0.5:
                     exists = True
         assert result.found == exists
         for cf in result.counterfactuals:
             found_count += 1
-            plaf_checked += 1
-            assert plaf.satisfied_by(cf.instance)
+            box_checked += 1
+            assert rule.evaluate(cf.instance)
             for j in sorted(cf.changed):
                 reverted = cf.instance[:j] + (anchor[j],) + cf.instance[j + 1:]
                 assert model.predict(reverted) <= 0.5
     report(
         7,
-        f"{queries} queries: oracle agreement 100%, {plaf_checked} counterfactuals "
+        f"{queries} queries: oracle agreement 100%, {box_checked} counterfactuals "
         f"all constraint-compliant and revert-minimal",
     )
 

@@ -11,12 +11,10 @@ from rulecf import (
     Rule,
     RuleClassifier,
     distance,
-    find_counterfactuals,
     geq,
     leq,
     make_schema,
     reduce_changes,
-    rule_to_plaf,
     trivial_rule,
 )
 
@@ -31,11 +29,15 @@ from conftest import (
 )
 
 
-def brute_force_goods(model, schema, plaf):
+def brute_force_goods(model, schema, rule):
     return [
         x for x in all_instances(schema)
-        if plaf.satisfied_by(x) and model.predict(x) > 0.5
+        if rule.evaluate(x) and model.predict(x) > 0.5
     ]
+
+
+def find_counterfactuals(model, data, query):
+    return CounterfactualEngine().find_counterfactuals(model, data, query)
 
 
 class TestDistance:
@@ -85,6 +87,14 @@ class TestReduceChanges:
         cand = (0.0, 0.0)
         assert reduce_changes(anchor, cand, model) in [(0.0, 3.0), (3.0, 0.0)]
 
+    def test_revert_leaving_rule_box_skipped(self):
+        model = RuleClassifier(Rule((leq(0, 2),)), 2)
+        calls = model.calls
+        # reverting F1 to 1 would leave the box of F1 >= 5: kept, never scored
+        reduced = reduce_changes((1.0, 1.0), (5.0, 9.0), model, rule=Rule((geq(1, 5),)))
+        assert reduced == (5.0, 9.0)
+        assert model.calls - calls == 2  # the candidate and the F0 revert
+
     def test_requires_good_candidate(self):
         model = RuleClassifier(Rule((leq(0, 2),)), 1)
         with pytest.raises(ValueError):
@@ -125,9 +135,9 @@ class TestFindCounterfactuals:
         model = RuleClassifier(Rule((leq(0, 10),)), 3)
         data = uniform_dataset(schema, 20)
         anchor = (5.0, 3.0, 7.0)
-        plaf = rule_to_plaf(Rule((leq(0, 5), geq(0, 5))))
+        rule = Rule((leq(0, 5), geq(0, 5)))
         result = find_counterfactuals(
-            model, data, CfQuery(anchor=anchor, plaf=plaf, k=5, seed=3)
+            model, data, CfQuery(anchor=anchor, rule=rule, k=5, seed=3)
         )
         assert not result.found
 
@@ -180,13 +190,12 @@ class TestFindCounterfactuals:
                 continue
             comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.3]
             rule = Rule(tuple(comps))
-            plaf = rule_to_plaf(rule)
             result = find_counterfactuals(
-                model, data, CfQuery(anchor=anchor, plaf=plaf, k=5, seed=trial)
+                model, data, CfQuery(anchor=anchor, rule=rule, k=5, seed=trial)
             )
             for cf in result.counterfactuals:
                 checked += 1
-                assert plaf.satisfied_by(cf.instance)
+                assert rule.evaluate(cf.instance)
                 assert model.predict(cf.instance) > 0.5
                 assert cf.changed == frozenset(
                     j for j in range(3) if cf.instance[j] != anchor[j]
@@ -197,10 +206,10 @@ class TestFindCounterfactuals:
         assert checked > 10
 
 
-class TestPlafComplianceSweep:
+class TestBoxComplianceSweep:
     def test_thousand_queries_zero_violations(self):
         """Across 1000 seeded (rule, anchor) queries, every returned
-        counterfactual satisfies the rule-derived constraints."""
+        counterfactual lies inside the rule's box."""
         rng = random.Random(77)
         schema = small_schema((4, 4, 4))
         data = uniform_dataset(schema, 25)
@@ -215,14 +224,13 @@ class TestPlafComplianceSweep:
                 continue
             comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.3]
             rule = Rule(tuple(comps))
-            plaf = rule_to_plaf(rule)
             result = engine.find_counterfactuals(
-                model, data, CfQuery(anchor=anchor, plaf=plaf, k=3, seed=queries)
+                model, data, CfQuery(anchor=anchor, rule=rule, k=3, seed=queries)
             )
             queries += 1
             for cf in result.counterfactuals:
                 returned += 1
-                assert plaf.satisfied_by(cf.instance)
+                assert rule.evaluate(cf.instance)
         assert returned > 300
 
 
@@ -241,11 +249,11 @@ class TestOracleAgreement:
             if anchor is None:
                 continue
             comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.35]
-            plaf = rule_to_plaf(Rule(tuple(comps)))
+            rule = Rule(tuple(comps))
             result = engine.find_counterfactuals(
-                model, data, CfQuery(anchor=anchor, plaf=plaf, k=3, seed=trial)
+                model, data, CfQuery(anchor=anchor, rule=rule, k=3, seed=trial)
             )
-            exists = bool(brute_force_goods(model, schema, plaf))
+            exists = bool(brute_force_goods(model, schema, rule))
             assert result.found == exists
             agreements += 1
         assert agreements > 5
@@ -269,30 +277,47 @@ class TestOracleAgreement:
         engine = CounterfactualEngine()
         for trial in range(15):
             model = random_rule_model(schema, rng)
-            bad_values = rule_to_plaf(model.rule)
-            restricted = [bad_values.restrict(schema.domain(j), j) for j in range(8)]
-            if any(not r for r in restricted):
+            bad_box = schema.box(model.rule)
+            if any(not r for r in bad_box):
                 continue  # unsatisfiable ground truth, no bad anchor exists
-            anchor = tuple(r[0] for r in restricted)
+            anchor = tuple(schema.domain(j)[r[0]] for j, r in enumerate(bad_box))
             if model.predict(anchor) > 0.5:
                 continue
             comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.2]
             rule = Rule(tuple(comps))
-            plaf = rule_to_plaf(rule)
             result = engine.find_counterfactuals(
                 model, data,
-                CfQuery(anchor=anchor, plaf=plaf, k=3, budget=budget, seed=trial),
+                CfQuery(anchor=anchor, rule=rule, k=3, budget=budget, seed=trial),
             )
             # existence oracle: a good instance exists iff some feature can
-            # escape its ground-truth bound within the plaf
+            # escape its ground-truth bound within the rule's box
             exists = False
-            for j in range(8):
-                for v in plaf.restrict(schema.domain(j), j):
+            for j, r in enumerate(schema.box(rule)):
+                for v in schema.domain(j)[r.start:r.stop]:
                     y = anchor[:j] + (v,) + anchor[j + 1:]
                     if model.predict(y) > 0.5:
                         exists = True
             assert result.found == exists
         assert engine.generations > 0
+
+    @pytest.mark.parametrize("cap", [100, 20_000])
+    def test_reverts_stay_in_a_box_that_excludes_the_anchor(self, cap):
+        # the model ignores F1, so reverting F1 to the anchor's 0 keeps the
+        # outcome good but leaves the box F1 >= 2: both paths must skip it
+        schema = make_schema([[float(v) for v in range(8)]] * 4)
+        data = uniform_dataset(schema, 20)
+        model = RuleClassifier(Rule((leq(0, 3),)), 4)
+        rule = Rule((geq(1, 2.0),))
+        engine = CounterfactualEngine()
+        result = engine.find_counterfactuals(
+            model, data,
+            CfQuery(anchor=(0.0,) * 4, rule=rule, k=5, budget=CfBudget(exhaustive_cap=cap)),
+        )
+        assert engine.exhaustive_runs == (cap > 8 * 6 * 8 * 8)
+        assert result.found
+        for cf in result.counterfactuals:
+            assert rule.evaluate(cf.instance)
+            assert cf.instance[0] > 3
 
     def test_exhaustive_cap_switches_paths(self):
         schema = small_schema((4, 4))

@@ -7,13 +7,13 @@ from rulecf import (
     BruteForceOutcome,
     CfCache,
     ConsistencyLevel,
+    CounterfactualOracle,
     Dataset,
     Level,
     Rule,
     RuleClassifier,
     brute_force_global_consistent,
     consistency_level,
-    consistent_cf,
     geq,
     leq,
     make_schema,
@@ -152,19 +152,19 @@ class TestConsistentCf:
     def test_trivial_rule_always_consistent(self):
         model = RuleClassifier(Rule((leq(0, 2),)), 3)
         anchor = (0.0, 1.0, 1.0)
-        assert consistent_cf(trivial_rule(anchor), anchor, model, self.data)
+        assert CounterfactualOracle(model, self.data).consistent(trivial_rule(anchor), anchor)
 
     def test_empty_rule_inconsistent_with_goods(self):
         model = RuleClassifier(Rule((leq(0, 2),)), 3)
         anchor = (0.0, 1.0, 1.0)
         assert find_good_instance(model, self.schema) is not None
-        assert not consistent_cf(Rule(), anchor, model, self.data)
+        assert not CounterfactualOracle(model, self.data).consistent(Rule(), anchor)
 
     def test_ground_truth_rule_verified(self):
         model = RuleClassifier(Rule((leq(0, 2), geq(1, 1))), 3)
         anchor = (0.0, 1.0, 1.0)
         truth_anchored = model.rule.anchored_to(anchor)
-        assert consistent_cf(truth_anchored, anchor, model, self.data)
+        assert CounterfactualOracle(model, self.data).consistent(truth_anchored, anchor)
 
     def test_cache_reuse(self):
         from rulecf.cf_engine import CounterfactualEngine
@@ -174,8 +174,9 @@ class TestConsistentCf:
         cache = CfCache()
         engine = CounterfactualEngine()
         rule = Rule((leq(0, 0),))
-        consistent_cf(rule, anchor, model, self.data, cache=cache, engine=engine)
-        consistent_cf(rule, anchor, model, self.data, cache=cache, engine=engine)
+        for _ in range(2):
+            oracle = CounterfactualOracle(model, self.data, cache=cache, engine=engine)
+            oracle.consistent(rule, anchor)
         assert engine.queries == 1
 
     def test_agreement_with_brute_force(self, rng):
@@ -193,7 +194,8 @@ class TestConsistentCf:
                 )
                 rule = Rule(combo)
                 expected = brute_force_global_consistent(rule, model, self.schema)
-                got = consistent_cf(rule, anchor, model, self.data, seed=trial)
+                oracle = CounterfactualOracle(model, self.data, seed=trial)
+                got = oracle.consistent(rule, anchor)
                 assert got == (expected is BruteForceOutcome.CONSISTENT)
                 checked += 1
         assert checked > 30

@@ -10,7 +10,6 @@ from rulecf import (
     CounterfactualOracle,
     Direction,
     DualClause,
-    DualFamily,
     Rule,
     RuleComponent,
     SchemaError,
@@ -138,7 +137,7 @@ class TestMinimalSetCovers:
 
     def test_empty_clause_rejected(self):
         with pytest.raises(SchemaError):
-            DualFamily((DualClause(()),))
+            minimal_set_covers([DualClause(())])
 
 
 class TestCoverExpansionCaps:

@@ -1,0 +1,48 @@
+"""Golden CLI outputs, pinned across code changes rather than across reruns.
+
+``golden/`` holds a small ``rulecf synthetic`` report and ``explain --format
+json`` runs of all three algorithms on a seeded ReLU net. The net's data has
+8 values on each of 5 features, so the empty rule's box (32,768 points)
+exceeds the CF engine's exhaustive cap: the genetic path's draws and the
+sampled grading both reach these outputs.
+
+A change that alters these outputs on purpose re-records the files by running
+the argv below and says why in its change log.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from rulecf import CfBudget, ingest_csv
+from rulecf.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_net_top_level_box_takes_the_genetic_path():
+    data = ingest_csv(GOLDEN / "net_data.csv")
+    assert data.schema.space_size() > CfBudget().exhaustive_cap
+
+
+@pytest.mark.parametrize("algo", ["gen", "gen-cf", "greedy-cf"])
+def test_explain_net_matches_golden(algo, capsys):
+    argv = [
+        "explain", "--data", str(GOLDEN / "net_data.csv"),
+        "--model", str(GOLDEN / "net_model.txt"), "--instance", "0",
+        "--algo", algo, "--seed", "5", "--q", "20", "--k", "3", "--s", "300",
+        "--max-iterations", "10", "--format", "json",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"explain_net_{algo}.json").read_text()
+
+
+def test_synthetic_report_matches_golden(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [
+        "synthetic", "--features", "6", "--components", "2,4", "--trials", "2",
+        "--max-iterations", "20", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "synthetic_small.json").read_bytes()

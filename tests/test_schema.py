@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,11 +14,9 @@ from rulecf import (
     RuleComponent,
     SchemaError,
     all_components,
-    cardinality,
-    eval_rule,
     geq,
     leq,
-    rule_to_plaf,
+    make_schema,
     trivial_rule,
 )
 
@@ -31,26 +31,35 @@ def bank_rule():
     return Rule((leq(AGE, 50), geq(ACC, 4)))
 
 
+def bank_schema():
+    return make_schema([
+        [30.0, 41.0, 50.0, 60.0],
+        [2.0, 3.0, 4.0, 5.0],
+        [500.0, 600.0, 900.0],
+        [0.0, 2000.0, 10000.0],
+    ])
+
+
 class TestRuleEval:
     def test_satisfying_instance(self):
         x = (50.0, 5.0, 900.0, 10000.0)
-        assert eval_rule(bank_rule(), x) is True
+        assert bank_rule().evaluate(x) is True
 
     def test_rule_holds_on_its_anchor(self):
         anchor = (50.0, 4.0, 500.0, 10000.0)
         rule = Rule.relevant_to(anchor, (leq(AGE, 50), geq(ACC, 4), leq(INC, 500)))
-        assert eval_rule(rule, anchor)
+        assert rule.evaluate(anchor)
 
     def test_violated_bound(self):
         rule = Rule((leq(0, 10),))
-        assert eval_rule(rule, (11.0,)) is False
+        assert rule.evaluate((11.0,)) is False
 
     def test_empty_rule_is_true(self):
-        assert eval_rule(Rule(), (1.0, 2.0)) is True
+        assert Rule().evaluate((1.0, 2.0)) is True
 
     def test_narrow_instance_rejected(self):
         with pytest.raises(SchemaError):
-            eval_rule(Rule((leq(3, 1.0),)), (0.0, 0.0))
+            Rule((leq(3, 1.0),)).evaluate((0.0, 0.0))
 
     def test_eval_matches_componentwise_conjunction(self):
         schema = small_schema((3, 3, 3))
@@ -66,15 +75,15 @@ class TestRuleEval:
 class TestCardinality:
     def test_equality_counts_two(self):
         rule = Rule((leq(AGE, 50), leq(ACC, 4), geq(ACC, 4), geq(DEBT, 10000)))
-        assert cardinality(rule) == 4
+        assert rule.cardinality == 4
 
     def test_three_components(self):
         rule = Rule((leq(AGE, 50), geq(ACC, 4), leq(INC, 500)))
-        assert cardinality(rule) == 3
+        assert rule.cardinality == 3
 
     def test_trivial_rule_is_2n(self):
         x = (1.0, 2.0, 3.0, 4.0, 5.0)
-        assert cardinality(trivial_rule(x)) == 2 * len(x)
+        assert trivial_rule(x).cardinality == 2 * len(x)
 
 
 class TestTrivialRule:
@@ -83,7 +92,7 @@ class TestTrivialRule:
 
     def test_holds_on_anchor(self):
         x = (3.0, 1.0, 2.0)
-        assert eval_rule(trivial_rule(x), x)
+        assert trivial_rule(x).evaluate(x)
 
     def test_false_on_any_single_deviation(self):
         schema = small_schema((4, 4, 4))
@@ -94,38 +103,110 @@ class TestTrivialRule:
                 if v == x[j]:
                     continue
                 y = x[:j] + (v,) + x[j + 1:]
-                assert not eval_rule(triv, y)
+                assert not triv.evaluate(y)
 
 
-class TestPlaf:
+class TestBox:
     def test_bounds_from_rule(self):
-        plaf = rule_to_plaf(bank_rule())
-        age = plaf.bound_for(AGE)
-        acc = plaf.bound_for(ACC)
-        assert age.upper == 50 and age.lower is None
-        assert acc.lower == 4 and acc.upper is None
+        schema = bank_schema()
+        box = schema.box(bank_rule())
+        assert box[AGE] == range(0, 3)  # 30, 41, 50
+        assert box[ACC] == range(2, 4)  # 4, 5
+        assert box[INC] == range(3) and box[DEBT] == range(3)
 
     def test_empty_rule_unconstrained(self):
-        plaf = rule_to_plaf(Rule())
-        assert plaf.bounds == ()
-        assert plaf.satisfied_by((7.0, 8.0))
+        schema = bank_schema()
+        assert schema.box(Rule()) == tuple(range(len(f.domain)) for f in schema.features)
+        assert schema.space_size() == 144
 
     def test_equality_pair_freezes_feature(self):
-        plaf = rule_to_plaf(Rule((leq(2, 20), geq(2, 20))))
-        b = plaf.bound_for(2)
-        assert b.lower == 20 and b.upper == 20
-        assert plaf.restrict([10.0, 20.0, 30.0], 2) == (20.0,)
+        schema = make_schema([[0.0], [0.0], [10.0, 20.0, 30.0]])
+        rule = Rule((leq(2, 20), geq(2, 20)))
+        assert schema.box(rule) == (range(1), range(1), range(1, 2))
 
-    def test_plaf_matches_rule_on_every_instance(self):
+    def test_box_matches_rule_on_every_instance(self):
         schema = small_schema((3, 3, 3))
         anchor = (2.0, 0.0, 1.0)
         comps = all_components(anchor)
         for r in range(3):
             for combo in itertools.combinations(comps, r):
                 rule = Rule(tuple(combo))
-                plaf = rule_to_plaf(rule)
+                box = schema.box(rule)
                 for x in all_instances(schema):
-                    assert plaf.satisfied_by(x) == rule.evaluate(x)
+                    inside = all(
+                        schema.domain(j).index(v) in box[j] for j, v in enumerate(x)
+                    )
+                    assert inside == rule.evaluate(x)
+
+
+def reference_box_values(schema, rule):
+    """Per-feature domain values admitted by the rule, by filtering tuples."""
+    values = []
+    for j in range(schema.n):
+        comps = [c for c in rule.components if c.feature == j]
+        values.append(tuple(
+            v for v in schema.domain(j) if all(c.direction.holds(v, c.bound) for c in comps)
+        ))
+    return values
+
+
+class TestBoxKernel:
+    """``box`` and ``box_points`` against a tuple filter plus ``itertools.product``."""
+
+    def check(self, schema, rule, chunk):
+        box = schema.box(rule)
+        want = reference_box_values(schema, rule)
+        assert [schema.domain(j)[r.start:r.stop] for j, r in enumerate(box)] == want
+        chunks = list(schema.box_points(box, chunk))
+        assert all(0 < len(c) <= chunk and c.dtype == np.float64 for c in chunks)
+        points = [tuple(row) for c in chunks for row in c.tolist()]
+        assert points == list(itertools.product(*want))
+
+    def test_leq_and_geq_on_one_feature(self):
+        schema = make_schema([[1.0, 2.5, 4.0, 7.0], [0.0, 1.0], [-3.0, 3.0]])
+        for lo, hi in ((2.5, 4.0), (1.0, 7.0), (4.0, 4.0), (2.0, 5.0)):
+            self.check(schema, Rule((geq(0, lo), leq(0, hi))), chunk=3)
+
+    def test_bounds_between_and_outside_domain_values(self):
+        schema = make_schema([[1.0, 2.5, 4.0, 7.0], [0.0, 1.0], [-3.0, 3.0]])
+        for bound in (-10.0, 0.5, 1.0, 3.0, 6.99, 7.0, 50.0):
+            self.check(schema, Rule((leq(0, bound),)), chunk=5)
+            self.check(schema, Rule((geq(0, bound), leq(2, 0.0))), chunk=5)
+
+    def test_empty_boxes(self):
+        schema = make_schema([[1.0, 2.5, 4.0, 7.0], [0.0, 1.0], [-3.0, 3.0]])
+        for rule in (
+            Rule((geq(0, 5.0), leq(0, 4.5))),  # crossed bounds between values
+            Rule((geq(0, 4.0), leq(0, 2.5))),  # crossed bounds on values
+            Rule((geq(1, 2.0),)),              # above the whole domain
+            Rule((leq(2, -5.0), geq(0, 1.0))),  # below the whole domain
+        ):
+            box = schema.box(rule)
+            assert any(not r for r in box)
+            assert list(schema.box_points(box, 4)) == []
+            self.check(schema, rule, chunk=4)
+
+    def test_random_rules_on_irregular_domains(self):
+        rng = random.Random(21)
+        domains = [
+            sorted(rng.sample([round(0.1 * v, 1) for v in range(-40, 40)], size))
+            for size in (1, 2, 5, 9, 4)
+        ]
+        schema = make_schema(domains)
+        for trial in range(200):
+            comps = []
+            for j, d in rng.sample(
+                [(j, d) for j in range(schema.n) for d in (Direction.LEQ, Direction.GEQ)],
+                rng.randint(0, 6),
+            ):
+                dom = schema.domain(j)
+                bound = rng.choice(dom + (dom[0] - 1.0, dom[-1] + 1.0, dom[0] + 0.05))
+                comps.append(RuleComponent(j, d, bound))
+            self.check(schema, Rule(tuple(comps)), chunk=rng.choice((1, 7, 64, 4096)))
+
+    def test_rule_outside_schema_rejected(self):
+        with pytest.raises(SchemaError):
+            small_schema((3, 3)).box(Rule((leq(2, 1.0),)))
 
 
 class TestRuleConstruction:
@@ -179,13 +260,61 @@ class TestSchemaTypes:
         assert small_schema((3, 4, 5)).space_size() == 60
 
 
+def test_dataset_validation_matches_per_row_reference():
+    """Vectorised validation raises the message a row-by-row
+    ``validate_instance`` pass raises first."""
+    rng = random.Random(5)
+    schema = make_schema([[0.5 * v for v in range(k)] for k in (3, 7, 12, 5)])
+    planted_runs = 0
+    for _trial in range(150):
+        rows = [
+            [rng.choice(schema.domain(j)) for j in range(schema.n)]
+            for _ in range(rng.randint(1, 40))
+        ]
+        for _ in range(rng.choice((0, 1, 1, 2, 5))):
+            i, j = rng.randrange(len(rows)), rng.randrange(schema.n)
+            rows[i][j] = rng.choice((-1.0, 0.25, 0.75, 99.0, schema.domain(j)[-1] + 0.5))
+        if rng.random() < 0.1:
+            rows[rng.randrange(len(rows))].append(0.0)  # a row of the wrong width
+        rows = tuple(map(tuple, rows))
+        expected = None
+        for row in rows:
+            try:
+                schema.validate_instance(row)
+            except SchemaError as exc:
+                expected = str(exc)
+                break
+        if expected is None:
+            assert Dataset(schema, rows).matrix.shape == (len(rows), schema.n)
+            continue
+        planted_runs += 1
+        with pytest.raises(SchemaError) as info:
+            Dataset(schema, rows)
+        assert str(info.value) == expected
+    assert planted_runs > 80
+
+
+def test_validate_instance_agrees_with_domain_membership():
+    rng = random.Random(8)
+    schema = make_schema([[0.5 * v for v in range(k)] for k in (3, 7)])
+    for _ in range(300):
+        x = (rng.choice((0.0, 0.5, 1.0, 1.25, -0.5, 3.0)), rng.choice((0.0, 2.5, 3.0, 3.5)))
+        bad = [(f, v) for f, v in zip(schema.features, x) if v not in f.domain]
+        if not bad:
+            schema.validate_instance(x)
+            continue
+        f, v = bad[0]
+        with pytest.raises(SchemaError, match=f"value {v!r} of feature {f.name!r}"):
+            schema.validate_instance(x)
+
+
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=3),
        st.lists(st.integers(0, 2), min_size=3, max_size=3))
 def test_trivial_rule_accepts_only_its_anchor(a_idx, b_idx):
     schema = small_schema((3, 3, 3))
     a = tuple(schema.domain(j)[i] for j, i in enumerate(a_idx))
     b = tuple(schema.domain(j)[i] for j, i in enumerate(b_idx))
-    assert eval_rule(trivial_rule(a), b) == (a == b)
+    assert trivial_rule(a).evaluate(b) == (a == b)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.sampled_from([Direction.LEQ, Direction.GEQ]))
