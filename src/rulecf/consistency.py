@@ -110,6 +110,8 @@ def brute_force_global_consistent(
 ) -> BruteForceOutcome:
     """Exact consistency by enumerating the rule's satisfying set, if small."""
     box = schema.box(rule)
+    if not all(box):
+        return BruteForceOutcome.CONSISTENT  # an empty box holds no instance
     size = 1
     for r in box:
         size *= len(r)

@@ -32,8 +32,8 @@ from .schema import (
     EMPTY_RULE,
     Instance,
     Rule,
-    SchemaError,
-    all_components,
+    SlotCodec,
+    mask_bits,
     trivial_rule,
 )
 
@@ -142,116 +142,121 @@ def _as_rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-def mutate(pop: Iterable[Rule], universe: Iterable, m: int, seed_or_rng=0) -> list:
-    """Per parent, up to ``m`` children each adding one absent component."""
+# The genetic operators work on slot masks (see ``schema.SlotCodec``). Slots
+# ascend in canonical component order, so sampling a mask's bit list draws
+# exactly the components a sample of the rule's sorted components would.
+
+def mutate(pop: Iterable[int], universe: int, m: int, seed_or_rng=0) -> list:
+    """Per parent mask, up to ``m`` children each adding one slot of
+    ``universe`` the parent lacks."""
     rng = _as_rng(seed_or_rng)
-    universe = tuple(universe)
     children = []
     for parent in pop:
-        present = set(parent.components)
-        complement = [c for c in universe if c not in present]
-        for comp in rng.sample(complement, min(m, len(complement))):
-            children.append(parent.union((comp,)))
+        complement = mask_bits(universe & ~parent)
+        for bit in rng.sample(complement, min(m, len(complement))):
+            children.append(parent | bit)
     return children
 
 
-def crossover(pop: Iterable[Rule], c: int, seed_or_rng=0) -> list:
-    """Per unordered pair, ``c`` children sampled from the component union."""
+def crossover(pop: Iterable[int], c: int, seed_or_rng=0) -> list:
+    """Per unordered pair of masks, ``c`` children sampled from their union."""
     rng = _as_rng(seed_or_rng)
-    rules = list(pop)
+    masks = list(pop)
+    sizes = [mask.bit_count() for mask in masks]
     children = []
-    for i in range(len(rules)):
-        for j in range(i + 1, len(rules)):
-            a, b = rules[i], rules[j]
-            union = sorted(
-                set(a.components) | set(b.components), key=lambda comp: comp.sort_key
-            )
-            t = min(max(a.cardinality, b.cardinality) + 1, len(union))
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            union = mask_bits(masks[i] | masks[j])
+            t = min(max(sizes[i], sizes[j]) + 1, len(union))
             for _ in range(c):
-                children.append(Rule(tuple(rng.sample(union, t))))
+                children.append(sum(rng.sample(union, t)))
     return children
 
 
 class _Scorer:
-    """Per-run consistency grading with memoized database checks.
+    """Per-run consistency grading of slot masks anchored at ``x``.
 
-    Database violations are counted through per-component bitsets over the
-    good rows of the dataset, so grading a rule needs no classifier calls
-    unless it survives the database and requires sampling.
+    Database violations are counted through per-slot bitsets over the good
+    rows of the dataset, so grading a rule needs no classifier calls unless
+    it survives the database and requires sampling.
     """
 
-    def __init__(self, model: Classifier, data: Dataset, s: int, seed: int):
+    def __init__(self, model: Classifier, data: Dataset, s: int, seed: int, x: Instance):
         self.model = model
         self.data = data
         self.s = s
         self.seed = seed
         self.schema = data.schema
+        self.codec = SlotCodec(x)
         if data.m:
             d_scores = model.predict_batch(data.matrix)
-            self._good_rows = data.matrix[good_mask(d_scores)]
+            good_rows = data.matrix[good_mask(d_scores)]
         else:
-            self._good_rows = np.zeros((0, self.schema.n))
-        g = len(self._good_rows)
-        # build the all-rows mask through packbits too: it pads the final
-        # byte with low zero bits, and positions must line up for the ANDs
-        self._all_good = (
-            int.from_bytes(np.packbits(np.ones(g, dtype=bool)).tobytes(), "big")
-            if g else 0
+            good_rows = np.zeros((0, self.schema.n))
+        sat = np.column_stack([
+            c.direction.holds(good_rows[:, c.feature], c.bound) for c in self.codec.components
+        ])
+        # packbits pads the final byte with low zero bits in every column
+        # alike, so row positions line up for the ANDs
+        packed = np.ascontiguousarray(np.packbits(sat, axis=0).T)
+        self._slot_rows = [int.from_bytes(col.tobytes(), "big") for col in packed]
+        self._all_good = int.from_bytes(
+            np.packbits(np.ones(len(good_rows), dtype=bool)).tobytes(), "big"
         )
-        self._comp_bits: dict = {}
         self._levels: dict = {}
+        self._keys: dict = {}
 
-    def _bits(self, comp) -> int:
-        bits = self._comp_bits.get(comp)
-        if bits is None:
-            if len(self._good_rows) == 0:
-                bits = 0
+    def level(self, mask: int) -> ConsistencyLevel:
+        level = self._levels.get(mask)
+        if level is None:
+            bits = mask_bits(mask)
+            rows = self._all_good
+            for bit in bits:
+                rows &= self._slot_rows[bit.bit_length() - 1]
+                if not rows:
+                    break
+            vd = rows.bit_count()
+            if vd:
+                level = ConsistencyLevel.from_counts(vd, 0)
             else:
-                col = self._good_rows[:, comp.feature]
-                sat = col <= comp.bound if comp.direction.value == "<=" else col >= comp.bound
-                bits = int.from_bytes(np.packbits(sat).tobytes(), "big")
-            self._comp_bits[comp] = bits
-        return bits
+                rule = self.codec.rule(mask)
+                rng = np.random.default_rng(derive_seed(self.seed, "vs", _rule_digest(rule)))
+                samples = sample_satisfying(self.schema, rule, self.s, rng)
+                vs = int(np.count_nonzero(good_mask(self.model.predict_batch(samples))))
+                level = ConsistencyLevel.from_counts(0, vs)
+            score = fitness(len(bits), self.schema.n, level, self.data.m, self.s)
+            self._levels[mask] = level
+            # rank_key's order on masks: slots ascend like sorted components
+            self._keys[mask] = (
+                -int(level.level), -score, len(bits),
+                tuple(bit.bit_length() - 1 for bit in bits),
+            )
+        return level
 
-    def level(self, rule: Rule) -> ConsistencyLevel:
-        cached = self._levels.get(rule)
-        if cached is not None:
-            return cached
-        bits = self._all_good
-        for comp in rule.components:
-            bits &= self._bits(comp)
-            if not bits:
-                break
-        vd = bits.bit_count()
-        if vd:
-            result = ConsistencyLevel.from_counts(vd, 0)
-        else:
-            rng = np.random.default_rng(derive_seed(self.seed, "vs", _rule_digest(rule)))
-            samples = sample_satisfying(self.schema, rule, self.s, rng)
-            vs = int(np.count_nonzero(good_mask(self.model.predict_batch(samples))))
-            result = ConsistencyLevel.from_counts(0, vs)
-        self._levels[rule] = result
-        return result
+    def rank(self, masks: Iterable[int], q: int) -> list:
+        """Deduplicate and grade masks; the best ``q`` in ``rank_key`` order."""
+        unique = list(dict.fromkeys(masks))
+        for mask in unique:
+            self.level(mask)
+        unique.sort(key=self._keys.__getitem__)
+        return unique[:q]
 
-    def score(self, rule: Rule, cf_verified: bool = False) -> ScoredRule:
-        lv = self.level(rule)
+    def score(self, rule: Rule, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
+        level = self.level(self.codec.mask(rule))
         return ScoredRule(
-            rule, lv, fitness(rule.cardinality, self.schema.n, lv, self.data.m, self.s),
-            cf_verified,
+            rule, level, fitness(rule.cardinality, self.schema.n, level, self.data.m, self.s),
+            _cf_verified(oracle, rule, level),
         )
 
 
-def _cf_verified(oracle: Optional[CounterfactualOracle], rule: Rule) -> bool:
-    if oracle is None:
+def _cf_verified(oracle: Optional[CounterfactualOracle], rule: Rule, level) -> bool:
+    """The oracle found no counterfactual in the rule's box and the database
+    holds no good row there: a database violation proves inconsistency even
+    where a heuristic counterfactual search missed it."""
+    if oracle is None or level.vd:
         return False
     cached = oracle.cache.get(rule)
     return cached is not None and not cached.found
-
-
-def _rank(scorer: _Scorer, oracle, rules: Iterable[Rule], q: int) -> list:
-    scored = [scorer.score(r, _cf_verified(oracle, r)) for r in dict.fromkeys(rules)]
-    scored.sort(key=rank_key)
-    return scored[:q]
 
 
 def select_fittest(
@@ -265,12 +270,9 @@ def select_fittest(
     oracle: Optional[CounterfactualOracle] = None,
 ) -> list:
     """Deduplicate, grade, and rank candidates; keep the best ``q``."""
-    cands = list(cands)
-    for r in cands:
-        if not r.is_relevant_to(x):
-            raise SchemaError(f"candidate {r} is not relevant to the anchor")
-    scorer = _Scorer(model, data, s, seed)
-    return _rank(scorer, oracle, cands, q)
+    scorer = _Scorer(model, data, s, seed, x)
+    masks = [scorer.codec.mask(r) for r in cands]
+    return [scorer.score(scorer.codec.rule(m), oracle) for m in scorer.rank(masks, q)]
 
 
 def _check_anchor(x: Instance, model: Classifier, data: Dataset) -> tuple:
@@ -281,20 +283,18 @@ def _check_anchor(x: Instance, model: Classifier, data: Dataset) -> tuple:
     return x
 
 
-def cfrules_scheduled(iteration: int, cf_period: int, prev_topk) -> bool:
+def cfrules_scheduled(iteration: int, cf_period: int, prev_levels) -> bool:
     """Counterfactual expansion runs on a fixed period (iterations 1,
     1 + period, ...) and additionally whenever the previous iteration's
-    top rules were all free of database violations."""
+    top rules (given by their consistency levels) were all free of database
+    violations."""
     if (iteration - 1) % cf_period == 0:
         return True
-    return prev_topk is not None and all(sr.level.vd == 0 for sr in prev_topk)
+    return prev_levels is not None and all(level.vd == 0 for level in prev_levels)
 
 
 def _finish(topk, scorer, oracle, model, calls0, iterations, timer, t0, converged):
-    rules = [
-        ScoredRule(sr.rule, sr.level, sr.score, _cf_verified(oracle, sr.rule))
-        for sr in topk
-    ]
+    rules = [scorer.score(rule, oracle) for rule in topk]
     stats = RunStats(
         iterations=iterations,
         classifier_calls=model.calls - calls0,
@@ -320,16 +320,18 @@ def _run_genetic(
     rng_cross = random.Random(derive_seed(params.seed, "crossover"))
     rng_mut = random.Random(derive_seed(params.seed, "mutate"))
 
+    # the search holds rules as slot masks; Rules are built only to sample a
+    # box, to query the oracle and for the returned top rules
     with timer.phase("prep"):
-        scorer = _Scorer(model, data, params.s, params.seed)
+        scorer = _Scorer(model, data, params.s, params.seed, x)
+        codec = scorer.codec
         if not use_cf:
             oracle = None
         elif oracle is None:
             oracle = CounterfactualOracle(
                 model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
             )
-        universe = all_components(x)
-        pop = [Rule((comp,)) for comp in universe]
+        pop = mask_bits(codec.full)
         seen = set(pop)
         if use_cf:
             initial, _ = cf_rules(
@@ -337,13 +339,13 @@ def _run_genetic(
                 cover_size_cap=params.cover_size_cap,
                 max_candidates_per_parent=params.max_candidates_per_parent,
             )
-            for r in initial:
-                if r not in seen:
-                    seen.add(r)
-                    pop.append(r)
+            for mask in map(codec.mask, initial):
+                if mask not in seen:
+                    seen.add(mask)
+                    pop.append(mask)
 
     topk: list = []
-    prev_topk: Optional[list] = None
+    prev_levels: Optional[list] = None
     converged = False
     iteration = 0
     while iteration < params.max_iterations:
@@ -351,41 +353,38 @@ def _run_genetic(
         with timer.phase("crossover"):
             cand = crossover(pop, params.c, rng_cross)
         with timer.phase("mutate"):
-            cand.extend(mutate(pop, universe, params.m, rng_mut))
-        if use_cf and cfrules_scheduled(iteration, params.cf_period, prev_topk):
+            cand.extend(mutate(pop, codec.full, params.m, rng_mut))
+        if use_cf and cfrules_scheduled(iteration, params.cf_period, prev_levels):
             with timer.phase("cfrules"):
                 expansions, _ = cf_rules(
-                    pop, x, oracle,
+                    map(codec.rule, pop), x, oracle,
                     cover_size_cap=params.cover_size_cap,
                     max_candidates_per_parent=params.max_candidates_per_parent,
                 )
-            cand.extend(expansions)
-        cand = list(dict.fromkeys(cand))
-        new_rules = {r for r in cand if r not in seen}
+            cand.extend(map(codec.mask, expansions))
+        new_rules = set(cand).difference(seen)
         seen.update(new_rules)
 
         with timer.phase("select"):
-            scored = _rank(scorer, oracle, pop + cand, params.q)
-        pop = [sr.rule for sr in scored]
-        topk = scored[: params.k]
-        prev_topk = topk
+            pop = scorer.rank(pop + cand, params.q)
+        topk = pop[: params.k]
+        prev_levels = [scorer.level(mask) for mask in topk]
 
-        consistent_ok = all(sr.level.level is Level.GC for sr in topk)
+        consistent_ok = all(level.level is Level.GC for level in prev_levels)
         if consistent_ok and use_cf:
             with timer.phase("cfrules"):
-                consistent_ok = all(oracle.consistent(sr.rule, x) for sr in topk)
-        stable = not any(sr.rule in new_rules for sr in topk)
+                consistent_ok = all(oracle.consistent(codec.rule(m), x) for m in topk)
+        stable = new_rules.isdisjoint(topk)
         if consistent_ok and stable:
             converged = True
             break
 
-    if use_cf and params.post_reduce and topk and oracle.consistent(topk[0].rule, x):
+    topk = [codec.rule(mask) for mask in topk]
+    if use_cf and params.post_reduce and topk and oracle.consistent(topk[0], x):
         with timer.phase("reduce"):
-            reduced = reduce_redundancy(topk[0].rule, x, oracle=oracle)
-        if reduced != topk[0].rule:
-            rest = [sr for sr in topk if sr.rule != reduced]
-            topk = [scorer.score(reduced, True)] + rest
-            topk = topk[: params.k]
+            reduced = reduce_redundancy(topk[0], x, oracle=oracle)
+        if reduced != topk[0]:
+            topk = ([reduced] + [r for r in topk if r != reduced])[: params.k]
 
     return _finish(topk, scorer, oracle, model, calls0, iteration, timer, t0, converged)
 
@@ -431,7 +430,7 @@ def greedy_rule_cf(
         return (rule.cardinality, tuple(c.sort_key for c in rule.components))
 
     with timer.phase("prep"):
-        scorer = _Scorer(model, data, params.s, params.seed)
+        scorer = _Scorer(model, data, params.s, params.seed, x)
         if oracle is None:
             oracle = CounterfactualOracle(
                 model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
@@ -479,8 +478,7 @@ def greedy_rule_cf(
         with timer.phase("cfrules"):
             oracle.consistent(final, x)
 
-    topk = [scorer.score(final, _cf_verified(oracle, final))]
-    return _finish(topk, scorer, oracle, model, calls0, iterations, timer, t0, converged)
+    return _finish([final], scorer, oracle, model, calls0, iterations, timer, t0, converged)
 
 
 def reduce_redundancy(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -380,3 +381,61 @@ def trivial_rule(x: Instance) -> Rule:
     """The rule with both components per feature; satisfied only at ``x``."""
     return Rule(all_components(x))
 
+
+# -- anchored rules as slot masks ---------------------------------------------
+
+# _BYTE_BITS[pos][v]: the set bits of byte value v at byte position pos, as
+# single-bit ints in ascending order; grown on demand to the widest mask seen
+_BYTE_BITS: list = []
+_BYTE_BITS_LOCK = threading.Lock()
+
+
+def _byte_tables(width: int) -> list:
+    with _BYTE_BITS_LOCK:
+        while 8 * len(_BYTE_BITS) < width:
+            base = 8 * len(_BYTE_BITS)
+            _BYTE_BITS.append(tuple(
+                tuple(1 << (base + k) for k in range(8) if v >> k & 1) for v in range(256)
+            ))
+    return _BYTE_BITS
+
+
+def mask_bits(mask: int) -> list:
+    """The set bits of a non-negative ``mask`` as single-bit ints, ascending."""
+    tables = _BYTE_BITS
+    if mask.bit_length() > 8 * len(tables):
+        tables = _byte_tables(mask.bit_length())
+    bits = []
+    for table in tables:
+        if not mask:
+            break
+        bits += table[mask & 255]
+        mask >>= 8
+    return bits
+
+
+class SlotCodec:
+    """Rules anchored at ``x`` as ``int`` masks over ``2n`` slots.
+
+    Slot ``2*feature`` holds ``feature <= x[feature]`` and slot
+    ``2*feature + 1`` holds ``feature >= x[feature]``. Slot order is the
+    canonical component order (``RuleComponent.sort_key``), so a mask's
+    ascending set bits list its rule's components in order.
+    """
+
+    def __init__(self, x: Instance):
+        self.components = all_components(x)
+        self.full = (1 << len(self.components)) - 1
+
+    def mask(self, rule: Rule) -> int:
+        mask = 0
+        for c in rule.components:
+            slot = 2 * c.feature + (c.direction is Direction.GEQ)
+            if slot >= len(self.components) or self.components[slot].bound != c.bound:
+                raise SchemaError(f"component {c} is not anchored at the instance")
+            mask |= 1 << slot
+        return mask
+
+    def rule(self, mask: int) -> Rule:
+        comps = self.components
+        return Rule(tuple(comps[bit.bit_length() - 1] for bit in mask_bits(mask)))

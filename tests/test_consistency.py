@@ -143,6 +143,17 @@ class TestBruteForce:
             rule, model, schema, cap=10
         ) is BruteForceOutcome.CONSISTENT
 
+    @pytest.mark.parametrize("feature", [0, 3])
+    def test_empty_box_is_consistent_whichever_feature_is_empty(self, feature):
+        # 100^3 points on the other features exceed the cap; the verdict must
+        # not depend on whether the empty feature is multiplied in first
+        schema = make_schema([[float(v) for v in range(100)]] * 4)
+        model = RuleClassifier(Rule((leq(0, 50),)), 4)
+        rule = Rule((geq(feature, 60), leq(feature, 10)))
+        assert brute_force_global_consistent(
+            rule, model, schema, cap=1000
+        ) is BruteForceOutcome.CONSISTENT
+
 
 class TestConsistentCf:
     def setup_method(self):

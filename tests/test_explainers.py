@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from rulecf import (
+    CfOutcome,
     ConsistencyLevel,
     CounterfactualOracle,
     Dataset,
@@ -9,6 +12,7 @@ from rulecf import (
     Rule,
     RuleClassifier,
     ScoredRule,
+    SchemaError,
     SearchParams,
     crossover,
     fitness,
@@ -23,10 +27,11 @@ from rulecf import (
     select_fittest,
     trivial_rule,
 )
-from rulecf.explainers import cfrules_scheduled
+from rulecf.explainers import _Scorer, cfrules_scheduled
+from rulecf.schema import SlotCodec, mask_bits
 from rulecf.harness import box_dataset
 
-from conftest import small_schema, uniform_dataset
+from conftest import find_bad_anchor, random_rule_model, small_schema, uniform_dataset
 
 
 def lvl(name, vd=0, vs=0):
@@ -76,41 +81,49 @@ class TestRankKey:
 class TestMutate:
     def test_children_per_parent(self):
         x = tuple(float(v) for v in range(7))
-        universe = trivial_rule(x).components  # 14 components
-        parent = Rule((universe[0],))
-        children = mutate([parent], universe, 3, seed_or_rng=5)
+        codec = SlotCodec(x)  # 14 slots
+        parent = Rule((codec.components[0],))
+        children = mutate([codec.mask(parent)], codec.full, 3, seed_or_rng=5)
+        children = [codec.rule(c) for c in children]
         assert len(children) == 3
         assert all(c.cardinality == 2 for c in children)
         assert all(set(parent.components) < set(c.components) for c in children)
 
     def test_full_parent_has_no_children(self):
         x = (1.0, 2.0)
-        universe = trivial_rule(x).components
-        children = mutate([trivial_rule(x)], universe, 3, seed_or_rng=5)
+        codec = SlotCodec(x)
+        children = mutate([codec.mask(trivial_rule(x))], codec.full, 3, seed_or_rng=5)
         assert children == []
 
     def test_no_duplicate_components(self):
         x = (1.0, 2.0, 3.0)
-        universe = trivial_rule(x).components
-        parent = Rule(universe[:2])
-        for child in mutate([parent], universe, 4, seed_or_rng=0):
+        codec = SlotCodec(x)
+        parent = Rule(codec.components[:2])
+        for child in mutate([codec.mask(parent)], codec.full, 4, seed_or_rng=0):
+            child = codec.rule(child)
             assert len(set(child.components)) == child.cardinality
 
 
 class TestCrossover:
+    codec = SlotCodec((1.0, 2.0, 3.0, 4.0))
+
+    def cross(self, rules, c, seed):
+        children = crossover([self.codec.mask(r) for r in rules], c, seed_or_rng=seed)
+        return [self.codec.rule(child) for child in children]
+
     def test_union_sample_size(self):
         a, b, d = leq(0, 1), leq(1, 2), geq(3, 4)
-        children = crossover([Rule((a,)), Rule((b, d))], 1, seed_or_rng=3)
+        children = self.cross([Rule((a,)), Rule((b, d))], 1, 3)
         assert children == [Rule((a, b, d))]  # t = max(1, 2) + 1 = 3
 
     def test_degenerate_pair_capped(self):
         a = leq(0, 1)
-        children = crossover([Rule((a,)), Rule((a,))], 1, seed_or_rng=3)
+        children = self.cross([Rule((a,)), Rule((a,))], 1, 3)
         assert children == [Rule((a,))]
 
     def test_two_children_per_pair(self):
         rules = [Rule((leq(0, 1),)), Rule((geq(1, 2),)), Rule((leq(2, 3),))]
-        children = crossover(rules, 2, seed_or_rng=3)
+        children = self.cross(rules, 2, 3)
         assert len(children) == 6  # 3 pairs x c=2
 
 
@@ -131,9 +144,9 @@ class TestSelectFittest:
         assert ranked[0].level.level is Level.GC
 
     def test_truncates_to_q(self):
-        universe = trivial_rule(self.anchor).components
-        cands = [Rule((c,)) for c in universe]
-        cands += crossover(cands, 2, seed_or_rng=1)
+        codec = SlotCodec(self.anchor)
+        cands = [Rule((c,)) for c in codec.components]
+        cands += map(codec.rule, crossover(mask_bits(codec.full), 2, seed_or_rng=1))
         distinct = len(set(cands))
         assert distinct > 5
         ranked = select_fittest(
@@ -163,12 +176,10 @@ class TestSchedule:
         assert hits == [1, 4, 7]
 
     def test_early_trigger_on_data_consistent_topk(self):
-        topk = [ScoredRule(Rule(()), lvl("FGC", vs=3), 0.5, False)]
-        assert cfrules_scheduled(2, 3, topk)
+        assert cfrules_scheduled(2, 3, [lvl("FGC", vs=3)])
 
     def test_no_trigger_with_database_violations(self):
-        topk = [ScoredRule(Rule(()), lvl("FDC", vd=3), 0.5, False)]
-        assert not cfrules_scheduled(2, 3, topk)
+        assert not cfrules_scheduled(2, 3, [lvl("FDC", vd=3)])
 
 
 def two_component_problem(seed=0):
@@ -308,6 +319,37 @@ class TestGreedyRuleCf:
             assert not oracle.consistent(rule.without(comp), anchor)
 
 
+class TestCfVerifiedStamp:
+    """A rule is stamped ``cf_verified`` only if the database does not
+    contradict the oracle: a good history row in the box proves the rule
+    inconsistent even when a heuristic counterfactual search missed it."""
+
+    def setup_method(self):
+        _, self.model, self.anchor, _ = two_component_problem()
+        schema = small_schema((5, 5, 5, 5))
+        self.data = uniform_dataset(schema, 60, seed=2)  # mostly good rows
+        self.oracle = CounterfactualOracle(self.model, self.data)
+
+    def test_database_violation_overrides_a_cached_no_counterfactual(self):
+        # a cache entry claiming the empty rule has no counterfactual, as a
+        # missed heuristic search would leave it
+        self.oracle.cache.put(Rule(()), CfOutcome(found=False))
+        result = greedy_rule_cf(self.anchor, self.model, self.data, oracle=self.oracle)
+        assert result.top.rule == Rule(())
+        assert result.top.level.level is Level.FDC
+        assert not result.top.cf_verified
+
+    def test_clean_verified_rule_is_stamped(self):
+        truth = self.model.rule.anchored_to(self.anchor)
+        assert self.oracle.consistent(truth, self.anchor)
+        ranked = select_fittest(
+            self.anchor, [truth, Rule(())], self.model, self.data, q=2, s=100,
+            oracle=self.oracle,
+        )
+        assert ranked[0].rule == truth and ranked[0].cf_verified
+        assert ranked[1].level.level is Level.FDC and not ranked[1].cf_verified
+
+
 class TestOutputRelevance:
     def test_all_returned_rules_anchored_at_x(self):
         _, model, anchor, data = two_component_problem()
@@ -366,18 +408,17 @@ class TestScorerMatchesConsistencyLevel:
         """Bit packing must not drop rows when the good-row count is not a
         multiple of eight."""
         from rulecf.consistency import consistency_level
-        from rulecf.explainers import _Scorer
 
         schema = small_schema((5, 5, 5))
         model = RuleClassifier(Rule((leq(0, 2), geq(1, 2))), 3)
         data = uniform_dataset(schema, rows, seed=rows)
-        scorer = _Scorer(model, data, s=200, seed=4)
         anchor = (1.0, 3.0, 2.0)
+        scorer = _Scorer(model, data, s=200, seed=4, x=anchor)
         for comps in [(), (leq(0, 1),), (leq(0, 1), geq(1, 3)), (geq(2, 2),),
                       (leq(0, 1), geq(1, 3), geq(2, 2))]:
             rule = Rule(comps)
             expected = consistency_level(rule, data, model, s=200, seed=4)
-            got = scorer.level(rule)
+            got = scorer.level(scorer.codec.mask(rule))
             assert got == expected, (rows, str(rule))
 
     def test_violating_first_row_is_counted(self):
@@ -385,11 +426,109 @@ class TestScorerMatchesConsistencyLevel:
         # misaligned mask silently ignores them
         schema = small_schema((5, 5, 5))
         model = RuleClassifier(Rule((leq(0, 2),)), 3)  # bad iff F0 <= 2
-        from rulecf.explainers import _Scorer
 
         rows = ((3.0, 0.0, 0.0),) + tuple((0.0, float(i % 5), 1.0) for i in range(8))
         data = Dataset(schema, rows)  # exactly one good row, listed first
-        scorer = _Scorer(model, data, s=100, seed=0)
-        level = scorer.level(Rule((geq(0, 3),)))  # the good row satisfies it
+        scorer = _Scorer(model, data, s=100, seed=0, x=(3.0, 0.0, 1.0))
+        # the good row satisfies the rule
+        level = scorer.level(scorer.codec.mask(Rule((geq(0, 3),))))
         assert level.level is Level.FDC
         assert level.vd == 1
+
+
+# -- slot-mask operators against the Rule-based ones they replaced ------------
+
+def rule_mutate(pop, universe, m, rng):
+    """Reference: mutation on Rules, as written before the search used masks."""
+    universe = tuple(universe)
+    children = []
+    for parent in pop:
+        present = set(parent.components)
+        complement = [c for c in universe if c not in present]
+        for comp in rng.sample(complement, min(m, len(complement))):
+            children.append(parent.union((comp,)))
+    return children
+
+
+def rule_crossover(pop, c, rng):
+    """Reference: crossover on Rules, as written before the search used masks."""
+    rules = list(pop)
+    children = []
+    for i in range(len(rules)):
+        for j in range(i + 1, len(rules)):
+            a, b = rules[i], rules[j]
+            union = sorted(
+                set(a.components) | set(b.components), key=lambda comp: comp.sort_key
+            )
+            t = min(max(a.cardinality, b.cardinality) + 1, len(union))
+            for _ in range(c):
+                children.append(Rule(tuple(rng.sample(union, t))))
+    return children
+
+
+def random_anchor_population(n, seed, size=12):
+    """A random anchor (repeated values included) and a population holding
+    the empty rule, the full rule and random anchored rules."""
+    rng = random.Random(seed)
+    x = tuple(float(rng.randrange(4)) for _ in range(n))
+    codec = SlotCodec(x)
+    pop = [Rule(()), trivial_rule(x)]
+    for _ in range(size):
+        comps = rng.sample(codec.components, rng.randint(1, 2 * n))
+        pop.append(Rule(tuple(comps)))
+    rng.shuffle(pop)
+    return codec, pop
+
+
+class TestMaskOperatorsMatchRuleReference:
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crossover_same_children_and_rng_state(self, n, seed):
+        codec, pop = random_anchor_population(n, seed)
+        for c in (1, 2):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            expected = rule_crossover(pop, c, ref_rng)
+            got = crossover([codec.mask(r) for r in pop], c, rng)
+            assert [codec.rule(child) for child in got] == expected
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutate_same_children_and_rng_state(self, n, seed):
+        codec, pop = random_anchor_population(n, seed)
+        for m in (1, 3, 2 * n + 1):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            expected = rule_mutate(pop, codec.components, m, ref_rng)
+            got = mutate([codec.mask(r) for r in pop], codec.full, m, rng)
+            assert [codec.rule(child) for child in got] == expected
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mask_ranking_matches_rank_key(self, seed):
+        rng = random.Random(seed)
+        schema = small_schema((3, 4, 3, 4))
+        model = random_rule_model(schema, rng)
+        data = uniform_dataset(schema, 30, seed=seed)
+        x = find_bad_anchor(model, schema)
+        scorer = _Scorer(model, data, s=50, seed=seed, x=x)
+        masks = list(range(scorer.codec.full + 1))  # every rule anchored at x
+        rng.shuffle(masks)
+        expected = sorted(
+            (scorer.score(scorer.codec.rule(m)) for m in masks), key=rank_key
+        )
+        got = scorer.rank(masks + masks[:20], len(masks))
+        assert [scorer.codec.rule(m) for m in got] == [sr.rule for sr in expected]
+
+    def test_codec_round_trip_and_anchor_check(self):
+        codec, pop = random_anchor_population(7, 0)
+        for rule in pop:
+            assert codec.rule(codec.mask(rule)) == rule
+        with pytest.raises(SchemaError):
+            codec.mask(Rule((leq(0, codec.components[0].bound + 1),)))
+        with pytest.raises(SchemaError):
+            codec.mask(Rule((leq(7, 0.0),)))
+
+    def test_mask_bits_ascending_single_bits(self):
+        for mask in (0, 1, 0b1011, (1 << 70) | (1 << 9) | 4, (1 << 200) - 1):
+            bits = mask_bits(mask)
+            assert bits == [1 << k for k in range(mask.bit_length()) if mask >> k & 1]

@@ -6,6 +6,12 @@ json`` runs of all three algorithms on a seeded ReLU net. The net's data has
 exceeds the CF engine's exhaustive cap: the genetic path's draws and the
 sampled grading both reach these outputs.
 
+``rule12_*`` is a 12-feature rule model with 10 ground-truth components and
+61 history rows (40 drawn from the rule's box, 20 uniform, plus the anchor
+first). Its ``gen`` run never converges and stops at ``--max-iterations 40``
+with the default ``q=50``, so the output pins the crossover and mutation
+draws over many full-population iterations.
+
 A change that alters these outputs on purpose re-records the files by running
 the argv below and says why in its change log.
 """
@@ -35,6 +41,18 @@ def test_explain_net_matches_golden(algo, capsys):
     ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"explain_net_{algo}.json").read_text()
+
+
+def test_long_gen_run_matches_golden(capsys):
+    argv = [
+        "explain", "--data", str(GOLDEN / "rule12_data.csv"),
+        "--model", str(GOLDEN / "rule12_model.txt"), "--instance", "0",
+        "--algo", "gen", "--seed", "3", "--max-iterations", "40", "--format", "json",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"converged": false' in out
+    assert out == (GOLDEN / "explain_rule12_gen.json").read_text()
 
 
 def test_synthetic_report_matches_golden(tmp_path, capsys):
