@@ -29,24 +29,27 @@ class GoodAnchorError(ValueError):
     """The instance to explain already has the good outcome."""
 
 
+# effort of the genetic path: offspring per generation and survivors kept,
+# the generation limit, the generations without a new counterfactual after
+# which it stops (having found none, or some), and the most single-feature
+# seeds it evaluates
+POPULATION_SIZE = 100
+MAX_GENERATIONS = 50
+STALL_GENERATIONS = 10
+GOOD_STALL = 2
+SEED_CAP = 4096
+
+
 @dataclass(frozen=True)
 class CfBudget:
-    """Search effort knobs for one counterfactual query."""
+    """Search effort for one counterfactual query: boxes of at most
+    ``exhaustive_cap`` points are enumerated, larger ones searched genetically."""
 
-    population_size: int = 100
-    max_generations: int = 50
-    stall_generations: int = 10
-    good_stall: int = 2
     exhaustive_cap: int = 20_000
-    seed_cap: int = 4096
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if min(self.max_generations, self.stall_generations, self.good_stall) < 1:
-            raise ValueError("generation budgets must be positive")
-        if self.exhaustive_cap < 1 or self.seed_cap < 1:
-            raise ValueError("caps must be positive")
+        if self.exhaustive_cap < 1:
+            raise ValueError("exhaustive_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,6 @@ class CounterfactualEngine:
 
     def _genetic(self, model, schema, query, box) -> CfResult:
         anchor = query.anchor
-        budget = query.budget
         rng = random.Random(query.seed)
         domains = [schema.domain(j) for j in range(schema.n)]
         scores: dict = {}
@@ -250,10 +252,10 @@ class CounterfactualEngine:
 
         seeds = [base]
         single_total = sum(len(box[j]) - 1 for j in mutable)
-        per_feature = max(1, budget.seed_cap // max(1, len(mutable)))
+        per_feature = max(1, SEED_CAP // max(1, len(mutable)))
         for j in mutable:
             count = len(box[j]) - 1
-            if single_total <= budget.seed_cap or count <= per_feature:
+            if single_total <= SEED_CAP or count <= per_feature:
                 picks = range(count)
             else:
                 picks = sorted(rng.sample(range(count), per_feature))
@@ -283,20 +285,20 @@ class CounterfactualEngine:
                 (i for i in uniq if is_bad_score(scores[i])),
                 key=lambda i: (-scores[i], i),
             )
-            return (good_part + bad_part)[: budget.population_size]
+            return (good_part + bad_part)[:POPULATION_SIZE]
 
         absorb(seeds)
         pop = select(seeds)
         no_good_gens = 0
         good_stall = 0
 
-        for _generation in range(budget.max_generations):
-            if goods and good_stall >= budget.good_stall:
+        for _generation in range(MAX_GENERATIONS):
+            if goods and good_stall >= GOOD_STALL:
                 break
-            if not goods and no_good_gens >= budget.stall_generations:
+            if not goods and no_good_gens >= STALL_GENERATIONS:
                 break
             offspring = []
-            for _ in range(budget.population_size):
+            for _ in range(POPULATION_SIZE):
                 if len(pop) >= 2 and rng.random() < 0.3:
                     a, b = rng.sample(pop, 2)
                     child = list(a)

@@ -21,7 +21,7 @@ from .consistency import (
     consistency_level,
     violations_in_data,
 )
-from .dataio import IngestError, format_rule, ingest_csv, load_rule_file
+from .dataio import IngestError, format_component, format_rule, ingest_csv, load_rule_file
 from .duality import CounterfactualOracle
 from .explainers import SearchParams
 from .harness import ALGORITHMS, default_experiment_schema, run_experiment_suite
@@ -48,10 +48,7 @@ def _search_params(args) -> SearchParams:
 
 def _rule_payload(scored, schema):
     return {
-        "components": [
-            f"{schema.features[c.feature].name} {c.direction.value} {c.bound:g}"
-            for c in scored.rule.components
-        ],
+        "components": [format_component(c, schema) for c in scored.rule.components],
         "cardinality": scored.rule.cardinality,
         "level": scored.level.level.name,
         "vd": scored.level.vd,

@@ -150,10 +150,15 @@ def load_rule_file(path, schema: DatasetSchema) -> Rule:
         return parse_rule_text(fh.read(), schema, origin=str(path))
 
 
+def format_component(c: RuleComponent, schema: DatasetSchema) -> str:
+    """``name op bound`` as a rule-file line; :func:`parse_rule_text` reads the
+    bound back exactly (short ``:g`` text where that is exact, else ``repr``)."""
+    bound = f"{c.bound:g}"
+    if float(bound) != c.bound:
+        bound = repr(c.bound)
+    return f"{schema.features[c.feature].name} {c.direction.value} {bound}"
+
+
 def format_rule(rule: Rule, schema: DatasetSchema) -> str:
     """Render a rule in the rule-file format, one component per line."""
-    lines = [
-        f"{schema.features[c.feature].name} {c.direction.value} {c.bound:g}"
-        for c in rule.components
-    ]
-    return "\n".join(lines)
+    return "\n".join(format_component(c, schema) for c in rule.components)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from .cf_engine import CfBudget, CfQuery, CounterfactualEngine
 from .classifiers import Classifier
@@ -54,7 +54,7 @@ def _minimal_hitting_sets(clauses: list) -> list:
     hitting set is reachable this way, and a final filter discards the
     non-minimal extras the branching produces.
     """
-    if any(not clause for clause in clauses) and clauses:
+    if any(not clause for clause in clauses):
         raise SchemaError("an empty clause cannot be hit")
     # a clause containing another clause is hit whenever the smaller one is
     kept: list = []
@@ -191,54 +191,40 @@ class CounterfactualOracle:
         return not self.outcome(rule, anchor).found
 
 
-def _covers_for_expansion(duals: tuple, size_cap: int, count_cap: int) -> list:
+# rule growth keeps the covers whose non-forced part has at most
+# COVER_SIZE_CAP components, and at most MAX_COVERS_PER_PARENT of them
+COVER_SIZE_CAP = 4
+MAX_COVERS_PER_PARENT = 32
+
+
+def _covers_for_expansion(duals: tuple) -> list:
     """Minimal covers for rule growth, ordered smallest first.
 
-    Singleton clauses force their component into every cover, so the size cap
-    applies to the residual (non-forced) part; the overall smallest cover is
-    always kept so expansion can never starve.
+    Singleton clauses force their component into every minimal cover, so the
+    size cap applies to the residual (non-forced) part; the overall smallest
+    cover is always kept so expansion can never starve.
     """
-    forced = frozenset(
-        clause.components[0] for clause in duals if len(clause.components) == 1
-    )
-    residual = [
-        frozenset(clause.components)
-        for clause in duals
-        if not (frozenset(clause.components) & forced)
-    ]
-    covers = [forced | extra for extra in _minimal_hitting_sets(residual)]
-    covers.sort(key=_cover_key)
-    eligible = [c for c in covers if len(c) - len(forced) <= size_cap]
-    if not eligible:
-        eligible = covers[:1]
-    return eligible[:count_cap]
+    forced = {clause.components[0] for clause in duals if len(clause) == 1}
+    covers = minimal_set_covers(duals)
+    eligible = [c for c in covers if len(c) - len(forced) <= COVER_SIZE_CAP]
+    return (eligible or covers[:1])[:MAX_COVERS_PER_PARENT]
 
 
-def cf_rules(
-    pop: Iterable[Rule],
-    x: Instance,
-    oracle: CounterfactualOracle,
-    cover_size_cap: int = 4,
-    max_candidates_per_parent: int = 32,
-) -> Tuple[list, set]:
+def cf_rules(pop: Iterable[Rule], x: Instance, oracle: CounterfactualOracle) -> list:
     """Expand candidate rules through the counterfactual oracle.
 
-    For each uncached rule the oracle is queried once for the rule's own box. Rules with no counterfactual are reported as verified
-    consistent; for the rest, each minimal cover of the dual clauses yields
-    one strictly larger candidate.
+    The oracle is queried once per distinct rule, for the rule's own box.
+    Rules with no counterfactual yield nothing; for the rest, each minimal
+    cover of the dual clauses yields one strictly larger candidate.
     """
     candidates: list = []
     emitted: set = set()
-    newly_verified: set = set()
     parents = sorted(
         dict.fromkeys(pop), key=lambda r: tuple(c.sort_key for c in r.components)
     )
     for rule in parents:
-        fresh = rule not in oracle.cache
         outcome = oracle.outcome(rule, x)
         if not outcome.found:
-            if fresh:
-                newly_verified.add(rule)
             continue
         rule_comps = set(rule.components)
         for clause in outcome.duals:
@@ -246,11 +232,9 @@ def cf_rules(
                 raise RuntimeError(
                     "counterfactual engine returned an instance violating its constraints"
                 )
-        for cover in _covers_for_expansion(
-            outcome.duals, cover_size_cap, max_candidates_per_parent
-        ):
+        for cover in _covers_for_expansion(outcome.duals):
             child = rule.union(cover)
             if child != rule and child not in emitted:
                 emitted.add(child)
                 candidates.append(child)
-    return candidates, newly_verified
+    return candidates

@@ -20,13 +20,7 @@ import numpy as np
 from .cf_engine import CfBudget, GoodAnchorError
 from .classifiers import Classifier, good_mask
 from .consistency import ConsistencyLevel, Level, sample_satisfying
-from .duality import (
-    CfCache,
-    CounterfactualOracle,
-    _rule_digest,
-    cf_rules,
-    derive_seed,
-)
+from .duality import CounterfactualOracle, _rule_digest, cf_rules, derive_seed
 from .schema import (
     Dataset,
     EMPTY_RULE,
@@ -34,6 +28,7 @@ from .schema import (
     Rule,
     SlotCodec,
     mask_bits,
+    rows_in_box,
     trivial_rule,
 )
 
@@ -70,9 +65,6 @@ class SearchParams:
     max_iterations: int = 200
     cf_k: int = 10             # counterfactuals requested per query
     cf_budget: CfBudget = field(default_factory=CfBudget)
-    cover_size_cap: int = 4
-    max_candidates_per_parent: int = 32
-    post_reduce: bool = True
 
     def __post_init__(self):
         if not (1 <= self.k <= self.q):
@@ -193,16 +185,7 @@ class _Scorer:
             good_rows = data.matrix[good_mask(d_scores)]
         else:
             good_rows = np.zeros((0, self.schema.n))
-        sat = np.column_stack([
-            c.direction.holds(good_rows[:, c.feature], c.bound) for c in self.codec.components
-        ])
-        # packbits pads the final byte with low zero bits in every column
-        # alike, so row positions line up for the ANDs
-        packed = np.ascontiguousarray(np.packbits(sat, axis=0).T)
-        self._slot_rows = [int.from_bytes(col.tobytes(), "big") for col in packed]
-        self._all_good = int.from_bytes(
-            np.packbits(np.ones(len(good_rows), dtype=bool)).tobytes(), "big"
-        )
+        self._slot_rows, self._all_good = self.codec.row_bits(good_rows)
         self._levels: dict = {}
         self._keys: dict = {}
 
@@ -210,12 +193,7 @@ class _Scorer:
         level = self._levels.get(mask)
         if level is None:
             bits = mask_bits(mask)
-            rows = self._all_good
-            for bit in bits:
-                rows &= self._slot_rows[bit.bit_length() - 1]
-                if not rows:
-                    break
-            vd = rows.bit_count()
+            vd = rows_in_box(bits, self._slot_rows, self._all_good).bit_count()
             if vd:
                 level = ConsistencyLevel.from_counts(vd, 0)
             else:
@@ -334,12 +312,7 @@ def _run_genetic(
         pop = mask_bits(codec.full)
         seen = set(pop)
         if use_cf:
-            initial, _ = cf_rules(
-                [EMPTY_RULE], x, oracle,
-                cover_size_cap=params.cover_size_cap,
-                max_candidates_per_parent=params.max_candidates_per_parent,
-            )
-            for mask in map(codec.mask, initial):
+            for mask in map(codec.mask, cf_rules([EMPTY_RULE], x, oracle)):
                 if mask not in seen:
                     seen.add(mask)
                     pop.append(mask)
@@ -356,11 +329,7 @@ def _run_genetic(
             cand.extend(mutate(pop, codec.full, params.m, rng_mut))
         if use_cf and cfrules_scheduled(iteration, params.cf_period, prev_levels):
             with timer.phase("cfrules"):
-                expansions, _ = cf_rules(
-                    map(codec.rule, pop), x, oracle,
-                    cover_size_cap=params.cover_size_cap,
-                    max_candidates_per_parent=params.max_candidates_per_parent,
-                )
+                expansions = cf_rules(map(codec.rule, pop), x, oracle)
             cand.extend(map(codec.mask, expansions))
         new_rules = set(cand).difference(seen)
         seen.update(new_rules)
@@ -380,9 +349,9 @@ def _run_genetic(
             break
 
     topk = [codec.rule(mask) for mask in topk]
-    if use_cf and params.post_reduce and topk and oracle.consistent(topk[0], x):
+    if use_cf and topk and oracle.consistent(topk[0], x):
         with timer.phase("reduce"):
-            reduced = reduce_redundancy(topk[0], x, oracle=oracle)
+            reduced = reduce_redundancy(topk[0], x, oracle)
         if reduced != topk[0]:
             topk = ([reduced] + [r for r in topk if r != reduced])[: params.k]
 
@@ -436,11 +405,7 @@ def greedy_rule_cf(
                 model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
             )
     with timer.phase("cfrules"):
-        cands, _ = cf_rules(
-            [EMPTY_RULE], x, oracle,
-            cover_size_cap=params.cover_size_cap,
-            max_candidates_per_parent=params.max_candidates_per_parent,
-        )
+        cands = cf_rules([EMPTY_RULE], x, oracle)
         empty_ok = oracle.consistent(EMPTY_RULE, x)
 
     final: Optional[Rule] = EMPTY_RULE if empty_ok else None
@@ -463,11 +428,7 @@ def greedy_rule_cf(
                 continue
             expanded.add(head)
             with timer.phase("cfrules"):
-                children, _ = cf_rules(
-                    [head], x, oracle,
-                    cover_size_cap=params.cover_size_cap,
-                    max_candidates_per_parent=params.max_candidates_per_parent,
-                )
+                children = cf_rules([head], x, oracle)
             merged = set(pop) | {c for c in children if c not in expanded}
             pop = sorted(merged, key=order)[: params.q]
 
@@ -481,23 +442,8 @@ def greedy_rule_cf(
     return _finish([final], scorer, oracle, model, calls0, iterations, timer, t0, converged)
 
 
-def reduce_redundancy(
-    rule: Rule,
-    x: Instance,
-    model: Optional[Classifier] = None,
-    data: Optional[Dataset] = None,
-    cache: Optional[CfCache] = None,
-    *,
-    oracle: Optional[CounterfactualOracle] = None,
-    k: int = 10,
-    budget: Optional[CfBudget] = None,
-    seed: int = 0,
-) -> Rule:
+def reduce_redundancy(rule: Rule, x: Instance, oracle: CounterfactualOracle) -> Rule:
     """Drop components one at a time while the rule stays verified consistent."""
-    if oracle is None:
-        if model is None or data is None:
-            raise ValueError("reduce_redundancy needs either an oracle or model+data")
-        oracle = CounterfactualOracle(model, data, k=k, budget=budget, seed=seed, cache=cache)
     if not oracle.consistent(rule, x):
         raise ValueError("rule must be verified consistent before reduction")
     current = rule

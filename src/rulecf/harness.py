@@ -31,8 +31,10 @@ from .schema import (
     Rule,
     RuleComponent,
     SchemaError,
-    all_components,
+    SlotCodec,
     make_schema,
+    mask_bits,
+    rows_in_box,
 )
 
 ALGORITHMS = {
@@ -175,77 +177,45 @@ def minimal_rule_search(
 
     Candidate rules are enumerated by ascending cardinality. When the full
     instance space fits under ``space_cap`` consistency is decided exactly by
-    enumeration (organized as per-component bitsets over the good instances);
-    otherwise each candidate is checked through the counterfactual oracle.
-    Returns a reached-cap marker instead of an answer when no consistent rule
-    exists within ``cap`` components.
+    enumeration (organized as per-slot bitsets over the good instances,
+    ``SlotCodec.row_bits``); otherwise each candidate is checked through the
+    counterfactual oracle. Returns a reached-cap marker instead of an answer
+    when no consistent rule exists within ``cap`` components.
     """
     schema = data.schema
-    universe = list(all_components(x))
-    cap = min(cap, len(universe))
+    codec = SlotCodec(x)
+    slots = mask_bits(codec.full)
+    cap = min(cap, len(slots))
 
     if schema.space_size() <= space_cap:
-        checker = _BitsetChecker(model, schema, universe)
-        test = checker.consistent
-        candidates = checker.useful_components()
+        good = np.concatenate([
+            points[good_mask(model.predict_batch(points))]
+            for points in schema.box_points(schema.box(EMPTY_RULE), 8192)
+        ])
+        slot_rows, all_good = codec.row_bits(good)
+
+        def consistent(mask: int) -> bool:
+            return not rows_in_box(mask_bits(mask), slot_rows, all_good)
+
+        # a slot that admits every good instance can never appear in a
+        # minimum-cardinality witness
+        slots = [bit for bit in slots if slot_rows[bit.bit_length() - 1] != all_good]
     else:
         if oracle is None:
             oracle = CounterfactualOracle(model, data)
-        test = lambda comps: oracle.consistent(Rule(tuple(comps)), x)  # noqa: E731
-        candidates = universe
+
+        def consistent(mask: int) -> bool:
+            return oracle.consistent(codec.rule(mask), x)
 
     for size in range(0, cap + 1):
-        witnesses = [
-            Rule(tuple(combo))
-            for combo in itertools.combinations(candidates, size)
-            if test(combo)
-        ]
+        witnesses = tuple(
+            codec.rule(mask)
+            for mask in map(sum, itertools.combinations(slots, size))
+            if consistent(mask)
+        )
         if witnesses:
-            return MinimalRuleResult(size, False, tuple(witnesses))
+            return MinimalRuleResult(size, False, witnesses)
     return MinimalRuleResult(None, True, ())
-
-
-def _packed_mask(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits).tobytes(), "big")
-
-
-class _BitsetChecker:
-    """Good-instance bitsets over the fully enumerated space."""
-
-    def __init__(self, model: Classifier, schema: DatasetSchema, universe: Sequence):
-        parts = {id(c): [] for c in universe}
-        goods = 0
-        for points in schema.box_points(schema.box(EMPTY_RULE), 8192):
-            good_rows = points[good_mask(model.predict_batch(points))]
-            goods += len(good_rows)
-            for comp in universe:
-                col = good_rows[:, comp.feature]
-                sat = col <= comp.bound if comp.direction is Direction.LEQ else col >= comp.bound
-                parts[id(comp)].append(sat)
-
-        self._universe = list(universe)
-        # packbits pads the final byte with low zero bits; build the all-rows
-        # mask the same way so positions line up for any row count
-        self._all_good = _packed_mask(np.ones(goods, dtype=bool)) if goods else 0
-        self._bits = {}
-        for comp in universe:
-            if goods:
-                self._bits[comp] = _packed_mask(np.concatenate(parts[id(comp)]))
-            else:
-                self._bits[comp] = 0
-
-    def consistent(self, comps) -> bool:
-        bits = self._all_good
-        for comp in comps:
-            bits &= self._bits[comp]
-            if not bits:
-                return True
-        return bits == 0
-
-    def useful_components(self) -> list:
-        # a component satisfied by every good instance can never appear in a
-        # minimum-cardinality witness
-        return [c for c in self._universe if self._bits[c] != self._all_good]
 
 
 def categorize_real(

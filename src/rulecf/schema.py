@@ -113,10 +113,6 @@ class Rule:
         object.__setattr__(self, "components", comps)
 
     @classmethod
-    def of(cls, components: Iterable[RuleComponent]) -> "Rule":
-        return cls(tuple(components))
-
-    @classmethod
     def relevant_to(cls, anchor: Instance, components: Iterable[RuleComponent]) -> "Rule":
         """Build a rule and reject any component not anchored at ``anchor``."""
         comps = tuple(components)
@@ -143,8 +139,7 @@ class Rule:
         """Vectorized evaluation over a (rows, n) value matrix."""
         mask = np.ones(len(X), dtype=bool)
         for c in self.components:
-            col = X[:, c.feature]
-            mask &= col <= c.bound if c.direction is Direction.LEQ else col >= c.bound
+            mask &= c.direction.holds(X[:, c.feature], c.bound)
         return mask
 
     def is_relevant_to(self, x: Instance) -> bool:
@@ -161,9 +156,6 @@ class Rule:
         return Rule.relevant_to(
             x, (RuleComponent(c.feature, c.direction, x[c.feature]) for c in self.components)
         )
-
-    def features(self) -> tuple:
-        return tuple(sorted({c.feature for c in self.components}))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -439,3 +431,32 @@ class SlotCodec:
     def rule(self, mask: int) -> Rule:
         comps = self.components
         return Rule(tuple(comps[bit.bit_length() - 1] for bit in mask_bits(mask)))
+
+    def row_bits(self, rows: np.ndarray) -> tuple:
+        """Bitsets over the rows of a (m, n) value matrix: per slot, the rows
+        its component admits, and the set of all rows.
+
+        Row ``i`` is one bit, at the same position in every bitset, so the
+        rows inside a mask's box are the AND of its slots' bitsets
+        (:func:`rows_in_box`).
+        """
+        sat = np.column_stack([c.direction.holds(rows[:, c.feature], c.bound)
+                               for c in self.components])
+        # packbits pads the final byte with low zero bits in every column
+        # alike, so row positions line up for the ANDs
+        packed = np.ascontiguousarray(np.packbits(sat, axis=0).T)
+        all_rows = np.packbits(np.ones(len(rows), dtype=bool))
+        return (
+            [int.from_bytes(col.tobytes(), "big") for col in packed],
+            int.from_bytes(all_rows.tobytes(), "big"),
+        )
+
+
+def rows_in_box(bits: Iterable[int], slot_rows: Sequence[int], rows: int) -> int:
+    """The rows of bitset ``rows`` admitted by every slot in ``bits`` (single-bit
+    ints, as :func:`mask_bits` lists them), given ``SlotCodec.row_bits``."""
+    for bit in bits:
+        rows &= slot_rows[bit.bit_length() - 1]
+        if not rows:
+            break
+    return rows

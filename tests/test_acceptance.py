@@ -162,7 +162,7 @@ def test_criterion_3_worked_example():
             self.cache.put(rule, out)
             return out
 
-    candidates, verified = cf_rules([parent], anchor, Injected())
+    candidates = cf_rules([parent], anchor, Injected())
     r1 = Rule((leq(0, 50), geq(1, 4), leq(2, 500)))
     r2 = Rule((leq(0, 50), leq(1, 4), geq(1, 4), geq(3, 10000)))
     assert candidates == [r1, r2]

@@ -1,0 +1,79 @@
+"""The names and signatures the benchmark's traced run relies on.
+
+``bench/tracing.py`` rebinds module-level names of ``rulecf`` and wraps the
+oracle, the engine and the classifier methods. The untraced benchmark never
+looks these names up, so a rename would break only
+``bench/run.py --trace 1``; these tests run the same wiring on a tiny net.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+from rulecf import SearchParams, duality, explainers, greedy_rule_cf, schema
+
+from conftest import (
+    find_bad_anchor,
+    find_good_instance,
+    random_net,
+    small_schema,
+    uniform_dataset,
+)
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+sys.path.insert(0, BENCH)
+try:
+    import tracing
+finally:
+    sys.path.remove(BENCH)
+
+REBOUND = [
+    (explainers, "crossover"), (explainers, "mutate"), (explainers, "cf_rules"),
+    (explainers, "sample_satisfying"), (duality, "_covers_for_expansion"),
+    (schema.Rule, "__post_init__"), (schema.Dataset, "__post_init__"),
+]
+
+
+def test_install_rebinds_and_restore_puts_back():
+    owners = {id(owner): owner for owner, _ in REBOUND}.values()
+    before = {owner: dict(vars(owner)) for owner in owners}
+    restore = tracing.install(tracing.Tracer())
+    try:
+        for owner, name in REBOUND:
+            assert vars(owner)[name] is not before[owner][name], name
+    finally:
+        restore()
+    for owner, names in before.items():
+        assert set(vars(owner)) == set(names)
+        for name, value in names.items():
+            assert vars(owner)[name] is value, name
+
+
+def tiny_net_problem():
+    """A seeded ReLU net on a 4x4x4 grid with both outcomes, and a bad anchor."""
+    rng = random.Random(0)
+    grid = small_schema((4, 4, 4))
+    while True:
+        model = random_net(grid, rng)
+        anchor = find_bad_anchor(model, grid)
+        if anchor is not None and find_good_instance(model, grid) is not None:
+            return model, anchor, uniform_dataset(grid, 30)
+
+
+def test_traced_rows_equal_classifier_calls():
+    model, anchor, data = tiny_net_problem()
+    params = SearchParams()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        tracing.instrument_model(tracer, model)
+        tracer.reset()
+        oracle = tracing.oracle_for(tracer, model, data, params)
+        result = greedy_rule_cf(anchor, model, data, params, oracle=oracle)
+    finally:
+        restore()
+    # the check bench/run.py --trace 1 makes on every traced run
+    assert tracer.count["rows"] == result.stats.classifier_calls > 0
+    assert tracer.count["cf_queries"] == result.stats.cf_calls > 0
+    assert tracer.count["cf_rules"] > 0
+    assert tracer.count["covers"] > 0

@@ -1,9 +1,11 @@
 import pytest
 
 from rulecf import (
+    ConsistencyLevel,
     IngestError,
     Rule,
     SchemaError,
+    ScoredRule,
     export_csv,
     format_rule,
     geq,
@@ -11,6 +13,7 @@ from rulecf import (
     leq,
     load_rule_file,
 )
+from rulecf.cli import _rule_payload
 from rulecf.dataio import parse_rule_text
 
 CSV = """age,income,debt
@@ -106,6 +109,16 @@ class TestRuleFiles:
         text = format_rule(rule, data.schema)
         assert text == "age <= 50\nincome >= 500"
         assert parse_rule_text(text, data.schema) == rule
+
+    @pytest.mark.parametrize("bound", [1234567.0, 0.1234567, 1e-07])
+    def test_bounds_round_trip_exactly(self, tmp_path, bound):
+        data = ingest_csv(write(tmp_path, CSV))
+        rule = Rule((leq(0, bound), geq(2, -bound)))
+        text = format_rule(rule, data.schema)
+        assert parse_rule_text(text, data.schema) == rule
+        # explain --format json prints the same component lines
+        scored = ScoredRule(rule, ConsistencyLevel.from_counts(0, 0), 1.0)
+        assert _rule_payload(scored, data.schema)["components"] == text.splitlines()
 
     def test_load_from_file(self, tmp_path):
         data = ingest_csv(write(tmp_path, CSV))

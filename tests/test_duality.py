@@ -147,23 +147,26 @@ class TestCoverExpansionCaps:
         comps = components(6)
         singles = [DualClause((c,)) for c in comps[:6]]
         pair = DualClause((comps[6], comps[7]))
-        covers = _covers_for_expansion(tuple(singles + [pair]), size_cap=4, count_cap=32)
+        covers = _covers_for_expansion(tuple(singles + [pair]))
         assert len(covers) == 2
         assert all(len(c) == 7 for c in covers)
 
     def test_smallest_cover_survives_aggressive_cap(self):
+        # five disjoint pairs: every minimal cover has 5 components, above
+        # the residual size cap of 4
         comps = components(5)
         family = tuple(DualClause(tuple(comps[i:i + 2])) for i in range(0, 10, 2))
-        covers = _covers_for_expansion(family, size_cap=1, count_cap=32)
+        covers = _covers_for_expansion(family)
         assert covers  # never starves expansion
-        smallest = min(len(c) for c in _covers_for_expansion(family, 99, 10 ** 6))
-        assert len(covers[0]) == smallest
+        assert covers == minimal_set_covers(family)[:1]
 
     def test_count_cap(self):
-        comps = components(5)
-        family = tuple(DualClause(tuple(comps[i:i + 2])) for i in range(0, 10, 2))
-        covers = _covers_for_expansion(family, size_cap=99, count_cap=3)
-        assert len(covers) == 3
+        # four disjoint 3-component clauses: 3**4 = 81 minimal covers of size 4
+        comps = components(6)
+        family = tuple(DualClause(tuple(comps[i:i + 3])) for i in range(0, 12, 3))
+        assert len(minimal_set_covers(family)) == 81
+        covers = _covers_for_expansion(family)
+        assert covers == minimal_set_covers(family)[:32]
 
 
 class StubOracle:
@@ -197,8 +200,8 @@ class TestCfRules:
         oracle = StubOracle({
             parent: [(50.0, 5.0, 900.0, 10000.0), (50.0, 4.0, 600.0, 2000.0)],
         })
-        candidates, verified = cf_rules([parent], anchor, oracle)
-        assert verified == set()
+        candidates = cf_rules([parent], anchor, oracle)
+        assert not oracle.consistent(parent, anchor)
         r1 = Rule((leq(0, 50), geq(1, 4), leq(2, 500)))
         r2 = Rule((leq(0, 50), leq(1, 4), geq(1, 4), geq(3, 10000)))
         assert candidates == [r1, r2]
@@ -208,23 +211,24 @@ class TestCfRules:
         anchor = (1.0, 2.0)
         rule = Rule((leq(0, 1),))
         oracle = StubOracle({})
-        candidates, verified = cf_rules([rule], anchor, oracle)
+        candidates = cf_rules([rule], anchor, oracle)
         assert candidates == []
-        assert verified == {rule}
+        assert oracle.consistent(rule, anchor)
 
     def test_cached_rules_not_re_verified(self):
         anchor = (1.0, 2.0)
         rule = Rule((leq(0, 1),))
         oracle = StubOracle({})
         cf_rules([rule], anchor, oracle)
-        _, verified_again = cf_rules([rule], anchor, oracle)
-        assert verified_again == set()
+        entries = len(oracle.cache)
+        assert cf_rules([rule], anchor, oracle) == []
+        assert len(oracle.cache) == entries
 
     def test_candidates_strictly_grow(self):
         anchor = (3.0, 3.0, 3.0)
         parent = Rule((leq(0, 3),))
         oracle = StubOracle({parent: [(2.0, 0.0, 3.0), (3.0, 3.0, 0.0)]})
-        candidates, _ = cf_rules([parent], anchor, oracle)
+        candidates = cf_rules([parent], anchor, oracle)
         assert candidates
         for child in candidates:
             assert set(child.components) > set(parent.components)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rulecf import (
@@ -28,7 +29,7 @@ from rulecf import (
     trivial_rule,
 )
 from rulecf.explainers import _Scorer, cfrules_scheduled
-from rulecf.schema import SlotCodec, mask_bits
+from rulecf.schema import SlotCodec, mask_bits, rows_in_box
 from rulecf.harness import box_dataset
 
 from conftest import find_bad_anchor, random_rule_model, small_schema, uniform_dataset
@@ -366,24 +367,24 @@ class TestReduceRedundancy:
         truth = model.rule.anchored_to(anchor)
         # add a component at the domain edge: satisfied by every instance
         padded = truth.union((geq(3, 0.0),))
-        reduced = reduce_redundancy(padded, anchor, model, data)
+        reduced = reduce_redundancy(padded, anchor, CounterfactualOracle(model, data))
         assert reduced == truth
 
     def test_minimal_rule_unchanged(self):
         _, model, anchor, data = two_component_problem()
         truth = model.rule.anchored_to(anchor)
-        assert reduce_redundancy(truth, anchor, model, data) == truth
+        assert reduce_redundancy(truth, anchor, CounterfactualOracle(model, data)) == truth
 
     def test_requires_verified_rule(self):
         _, model, anchor, data = two_component_problem()
         with pytest.raises(ValueError):
-            reduce_redundancy(Rule(()), anchor, model, data)
+            reduce_redundancy(Rule(()), anchor, CounterfactualOracle(model, data))
 
     def test_fixpoint_under_repeat(self):
         _, model, anchor, data = two_component_problem()
         padded = trivial_rule(anchor)
-        once = reduce_redundancy(padded, anchor, model, data, seed=3)
-        twice = reduce_redundancy(once, anchor, model, data, seed=3)
+        once = reduce_redundancy(padded, anchor, CounterfactualOracle(model, data, seed=3))
+        twice = reduce_redundancy(once, anchor, CounterfactualOracle(model, data, seed=3))
         assert once == twice
 
 
@@ -527,6 +528,15 @@ class TestMaskOperatorsMatchRuleReference:
             codec.mask(Rule((leq(0, codec.components[0].bound + 1),)))
         with pytest.raises(SchemaError):
             codec.mask(Rule((leq(7, 0.0),)))
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 16, 17])
+    def test_row_bits_count_the_rows_in_each_box(self, rows):
+        codec, pop = random_anchor_population(4, rows)
+        X = np.random.default_rng(rows).integers(0, 4, size=(rows, 4)).astype(float)
+        slot_rows, all_rows = codec.row_bits(X)
+        for rule in pop:
+            inside = rows_in_box(mask_bits(codec.mask(rule)), slot_rows, all_rows)
+            assert inside.bit_count() == np.count_nonzero(rule.matrix_mask(X))
 
     def test_mask_bits_ascending_single_bits(self):
         for mask in (0, 1, 0b1011, (1 << 70) | (1 << 9) | 4, (1 << 200) - 1):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -28,7 +29,15 @@ from rulecf.harness import (
     synthetic_dataset,
 )
 
-from conftest import all_instances, small_schema, uniform_dataset
+from conftest import (
+    all_instances,
+    find_bad_anchor,
+    random_net,
+    random_rule_model,
+    random_tree,
+    small_schema,
+    uniform_dataset,
+)
 
 
 class TestGenerator:
@@ -176,6 +185,48 @@ class TestMinimalRuleSearch:
         data = Dataset(schema, (anchor,))
         found = minimal_rule_search(anchor, model, data, cap=4)
         assert found.cardinality == 1  # any single "feature >= 2" bound
+
+
+class TestMinimalRuleSearchPaths:
+    """The bitset path (the whole space enumerated) and the oracle path
+    (forced with ``space_cap=0``) give the same answer."""
+
+    @staticmethod
+    def assert_paths_agree(model, schema, anchor, cap):
+        data = uniform_dataset(schema, 12, seed=0)
+        bits = minimal_rule_search(anchor, model, data, cap=cap)
+        cf = minimal_rule_search(anchor, model, data, cap=cap, space_cap=0)
+        assert (bits.cardinality, bits.witnesses, bits.cap_reached) == (
+            cf.cardinality, cf.witnesses, cf.cap_reached)
+        return bits
+
+    @pytest.mark.parametrize("make_model", [random_rule_model, random_tree, random_net])
+    def test_random_models(self, make_model):
+        rng = random.Random(17)
+        checked = 0
+        for _ in range(12):
+            schema = small_schema(tuple(rng.randint(2, 4) for _ in range(3)))
+            model = make_model(schema, rng)
+            anchor = find_bad_anchor(model, schema)
+            if anchor is None:
+                continue
+            self.assert_paths_agree(model, schema, anchor, cap=rng.choice((1, 2, 6)))
+            checked += 1
+        assert checked >= 6
+
+    @pytest.mark.parametrize("make_model", [random_tree, random_net])
+    def test_good_counts_multiple_of_eight(self, make_model):
+        # packbits fills whole bytes here, with no padding bits
+        rng = random.Random(5)
+        schema = small_schema((4, 4, 4))
+        checked = 0
+        while checked < 4:
+            model = make_model(schema, rng)
+            goods = sum(model.predict(x) > 0.5 for x in all_instances(schema))
+            anchor = find_bad_anchor(model, schema)
+            if goods and goods % 8 == 0 and anchor is not None:
+                self.assert_paths_agree(model, schema, anchor, cap=6)
+                checked += 1
 
 
 class TestCategorizeReal:
