@@ -75,7 +75,6 @@ from .schema import (
     Dataset,
     DatasetSchema,
     Direction,
-    DualClause,
     FeatureSchema,
     Instance,
     Rule,

@@ -4,6 +4,10 @@ Every counterfactual of an anchor induces a dual clause: the disjunction of
 anchor-relevant components it violates. A rule can only be globally
 consistent if it intersects every such clause, so inconsistent candidate
 rules are extended with minimal hitting sets of the observed clause family.
+
+Clauses, covers and the rules grown from them are slot masks over the
+anchor's components (see ``schema.SlotCodec``); a clause hits a rule when
+``clause & rule`` is non-zero.
 """
 
 from __future__ import annotations
@@ -17,89 +21,73 @@ from .cf_engine import CfBudget, CfQuery, CounterfactualEngine
 from .classifiers import Classifier
 from .schema import (
     Dataset,
-    Direction,
-    DualClause,
     Instance,
     Rule,
-    RuleComponent,
     SchemaError,
+    SlotCodec,
+    mask_bits,
+    mask_order,
+    mask_slots,
 )
 
 
-def dual_of(anchor: Instance, x: Instance) -> DualClause:
-    """All components anchored at ``anchor`` that evaluate false on ``x``."""
+def dual_of(anchor: Instance, x: Instance) -> int:
+    """The mask of the slots anchored at ``anchor`` that ``x`` violates:
+    slot ``2j`` (``<=``) where ``x[j]`` is larger, ``2j + 1`` (``>=``) where
+    it is smaller."""
     if len(anchor) != len(x):
         raise SchemaError("anchor and instance must have the same width")
-    comps = []
+    clause = 0
     for j, (a, v) in enumerate(zip(anchor, x)):
         if v > a:
-            comps.append(RuleComponent(j, Direction.LEQ, a))
+            clause |= 1 << 2 * j
         elif v < a:
-            comps.append(RuleComponent(j, Direction.GEQ, a))
-    return DualClause(tuple(comps))
+            clause |= 1 << 2 * j + 1
+    return clause
 
 
-def _component_key(comp: RuleComponent) -> tuple:
-    return comp.sort_key
+def minimal_set_covers(family: Iterable[int]) -> list:
+    """Every inclusion-minimal slot mask hitting all clause masks of ``family``.
 
-
-def _cover_key(cover: frozenset) -> tuple:
-    return (len(cover), tuple(sorted(c.sort_key for c in cover)))
-
-
-def _minimal_hitting_sets(clauses: list) -> list:
-    """All inclusion-minimal sets intersecting every clause.
-
-    Branches on the components of the first un-hit clause; every minimal
-    hitting set is reachable this way, and a final filter discards the
-    non-minimal extras the branching produces.
+    Sorted by size, then by ascending slot tuple. The empty family is covered
+    by the empty mask alone. Branches on the slots of the first un-hit
+    clause; every minimal cover is reachable this way, and a final filter
+    discards the non-minimal extras the branching produces.
     """
-    if any(not clause for clause in clauses):
+    clauses = set(family)
+    if 0 in clauses:
         raise SchemaError("an empty clause cannot be hit")
     # a clause containing another clause is hit whenever the smaller one is
     kept: list = []
-    for clause in sorted(set(map(frozenset, clauses)), key=len):
-        if not any(other <= clause for other in kept):
+    for clause in sorted(clauses, key=mask_order):
+        if not any(other & ~clause == 0 for other in kept):
             kept.append(clause)
-    if not kept:
-        return [frozenset()]
 
     candidates: set = set()
     seen: set = set()
-    # a minimal hitting set has one clause hit by each element alone, so its
-    # size never exceeds the clause count; deeper branches are dead ends
+    # a minimal cover has one clause hit by each slot alone, so its size
+    # never exceeds the clause count; deeper branches are dead ends
     max_size = len(kept)
 
-    def extend(chosen: frozenset) -> None:
+    def extend(chosen: int) -> None:
         if chosen in seen:
             return
         seen.add(chosen)
         for clause in kept:
-            if not (clause & chosen):
-                if len(chosen) < max_size:
-                    for comp in sorted(clause, key=_component_key):
-                        extend(chosen | {comp})
+            if not clause & chosen:
+                if chosen.bit_count() < max_size:
+                    for bit in mask_bits(clause):
+                        extend(chosen | bit)
                 return
         candidates.add(chosen)
 
-    extend(frozenset())
-    ranked = sorted(candidates, key=_cover_key)
+    extend(0)
     minimal: list = []
-    for cand in ranked:
-        if not any(prev < cand for prev in minimal):
+    for cand in sorted(candidates, key=mask_order):
+        # earlier covers are no larger, so containment means a proper subset
+        if not any(prev & ~cand == 0 for prev in minimal):
             minimal.append(cand)
     return minimal
-
-
-def minimal_set_covers(family) -> list:
-    """Every inclusion-minimal component set hitting all clauses of ``family``.
-
-    Returns canonical component tuples sorted by size, then lexicographically.
-    The empty family is covered by the empty set alone.
-    """
-    clauses = [frozenset(clause.components) for clause in family]
-    covers = _minimal_hitting_sets(clauses)
-    return [tuple(sorted(cover, key=_component_key)) for cover in sorted(covers, key=_cover_key)]
 
 
 # -- cached counterfactual oracle --------------------------------------------
@@ -148,7 +136,11 @@ def derive_seed(base: int, *tags) -> int:
 
 
 class CounterfactualOracle:
-    """Counterfactual engine plus cache: at most one query per distinct rule."""
+    """Counterfactual engine plus cache: at most one query per distinct rule.
+
+    Dual clauses are masks over one anchor's slots, so an oracle serves the
+    first anchor it answers for and rejects any other.
+    """
 
     def __init__(
         self,
@@ -157,7 +149,6 @@ class CounterfactualOracle:
         k: int = 10,
         budget: Optional[CfBudget] = None,
         seed: int = 0,
-        cache: Optional[CfCache] = None,
         engine: Optional[CounterfactualEngine] = None,
     ):
         self.model = model
@@ -165,15 +156,21 @@ class CounterfactualOracle:
         self.k = k
         self.budget = budget if budget is not None else CfBudget()
         self.seed = seed
-        self.cache = cache if cache is not None else CfCache()
+        self.cache = CfCache()
         self.engine = engine if engine is not None else CounterfactualEngine()
+        self.anchor: Optional[Instance] = None
 
     def outcome(self, rule: Rule, anchor: Instance) -> CfOutcome:
+        anchor = tuple(anchor)
+        if self.anchor is None:
+            self.anchor = anchor
+        elif anchor != self.anchor:
+            raise ValueError(f"this oracle answers for anchor {self.anchor}, not {anchor}")
         cached = self.cache.get(rule)
         if cached is not None:
             return cached
         query = CfQuery(
-            anchor=tuple(anchor),
+            anchor=anchor,
             rule=rule,
             k=self.k,
             budget=self.budget,
@@ -192,7 +189,7 @@ class CounterfactualOracle:
 
 
 # rule growth keeps the covers whose non-forced part has at most
-# COVER_SIZE_CAP components, and at most MAX_COVERS_PER_PARENT of them
+# COVER_SIZE_CAP slots, and at most MAX_COVERS_PER_PARENT of them
 COVER_SIZE_CAP = 4
 MAX_COVERS_PER_PARENT = 32
 
@@ -200,41 +197,40 @@ MAX_COVERS_PER_PARENT = 32
 def _covers_for_expansion(duals: tuple) -> list:
     """Minimal covers for rule growth, ordered smallest first.
 
-    Singleton clauses force their component into every minimal cover, so the
+    Single-slot clauses force their slot into every minimal cover, so the
     size cap applies to the residual (non-forced) part; the overall smallest
     cover is always kept so expansion can never starve.
     """
-    forced = {clause.components[0] for clause in duals if len(clause) == 1}
+    forced = 0
+    for clause in duals:
+        if clause.bit_count() == 1:
+            forced |= clause
     covers = minimal_set_covers(duals)
-    eligible = [c for c in covers if len(c) - len(forced) <= COVER_SIZE_CAP]
+    eligible = [c for c in covers if (c & ~forced).bit_count() <= COVER_SIZE_CAP]
     return (eligible or covers[:1])[:MAX_COVERS_PER_PARENT]
 
 
-def cf_rules(pop: Iterable[Rule], x: Instance, oracle: CounterfactualOracle) -> list:
-    """Expand candidate rules through the counterfactual oracle.
+def cf_rules(pop: Iterable[int], x: Instance, oracle: CounterfactualOracle) -> list:
+    """Expand candidate slot masks anchored at ``x`` through the oracle.
 
-    The oracle is queried once per distinct rule, for the rule's own box.
-    Rules with no counterfactual yield nothing; for the rest, each minimal
-    cover of the dual clauses yields one strictly larger candidate.
+    The oracle is queried once per distinct mask, for its rule's box. Masks
+    with no counterfactual yield nothing; for the rest, each minimal cover
+    of the dual clauses yields one strictly larger candidate mask.
     """
+    codec = SlotCodec(x)
     candidates: list = []
     emitted: set = set()
-    parents = sorted(
-        dict.fromkeys(pop), key=lambda r: tuple(c.sort_key for c in r.components)
-    )
-    for rule in parents:
-        outcome = oracle.outcome(rule, x)
+    for parent in sorted(dict.fromkeys(pop), key=mask_slots):
+        outcome = oracle.outcome(codec.rule(parent), x)
         if not outcome.found:
             continue
-        rule_comps = set(rule.components)
-        for clause in outcome.duals:
-            if rule_comps & set(clause.components):
-                raise RuntimeError(
-                    "counterfactual engine returned an instance violating its constraints"
-                )
+        if any(parent & clause for clause in outcome.duals):
+            raise RuntimeError(
+                "counterfactual engine returned an instance violating its constraints"
+            )
         for cover in _covers_for_expansion(outcome.duals):
-            child = rule.union(cover)
-            if child != rule and child not in emitted:
+            child = parent | cover
+            if child != parent and child not in emitted:
                 emitted.add(child)
                 candidates.append(child)
     return candidates

@@ -28,8 +28,9 @@ from .schema import (
     Rule,
     SlotCodec,
     mask_bits,
+    mask_order,
+    mask_slots,
     rows_in_box,
-    trivial_rule,
 )
 
 
@@ -192,8 +193,8 @@ class _Scorer:
     def level(self, mask: int) -> ConsistencyLevel:
         level = self._levels.get(mask)
         if level is None:
-            bits = mask_bits(mask)
-            vd = rows_in_box(bits, self._slot_rows, self._all_good).bit_count()
+            slots = mask_slots(mask)
+            vd = rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
             if vd:
                 level = ConsistencyLevel.from_counts(vd, 0)
             else:
@@ -202,13 +203,10 @@ class _Scorer:
                 samples = sample_satisfying(self.schema, rule, self.s, rng)
                 vs = int(np.count_nonzero(good_mask(self.model.predict_batch(samples))))
                 level = ConsistencyLevel.from_counts(0, vs)
-            score = fitness(len(bits), self.schema.n, level, self.data.m, self.s)
+            score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
             self._levels[mask] = level
             # rank_key's order on masks: slots ascend like sorted components
-            self._keys[mask] = (
-                -int(level.level), -score, len(bits),
-                tuple(bit.bit_length() - 1 for bit in bits),
-            )
+            self._keys[mask] = (-int(level.level), -score, len(slots), slots)
         return level
 
     def rank(self, masks: Iterable[int], q: int) -> list:
@@ -312,7 +310,7 @@ def _run_genetic(
         pop = mask_bits(codec.full)
         seen = set(pop)
         if use_cf:
-            for mask in map(codec.mask, cf_rules([EMPTY_RULE], x, oracle)):
+            for mask in cf_rules([0], x, oracle):
                 if mask not in seen:
                     seen.add(mask)
                     pop.append(mask)
@@ -329,8 +327,7 @@ def _run_genetic(
             cand.extend(mutate(pop, codec.full, params.m, rng_mut))
         if use_cf and cfrules_scheduled(iteration, params.cf_period, prev_levels):
             with timer.phase("cfrules"):
-                expansions = cf_rules(map(codec.rule, pop), x, oracle)
-            cand.extend(map(codec.mask, expansions))
+                cand.extend(cf_rules(pop, x, oracle))
         new_rules = set(cand).difference(seen)
         seen.update(new_rules)
 
@@ -385,7 +382,7 @@ def greedy_rule_cf(
 ) -> ExplanationResult:
     """Expand only the smallest candidate until it verifies consistent.
 
-    The population holds counterfactual-derived candidates sorted by
+    The population holds counterfactual-derived candidate masks sorted by
     cardinality; children are strictly larger than the rule they replace, so
     popped cardinalities never decrease and termination is guaranteed.
     """
@@ -395,30 +392,29 @@ def greedy_rule_cf(
     calls0 = model.calls
     x = _check_anchor(x, model, data)
 
-    def order(rule: Rule) -> tuple:
-        return (rule.cardinality, tuple(c.sort_key for c in rule.components))
-
     with timer.phase("prep"):
         scorer = _Scorer(model, data, params.s, params.seed, x)
+        codec = scorer.codec
         if oracle is None:
             oracle = CounterfactualOracle(
                 model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
             )
     with timer.phase("cfrules"):
-        cands = cf_rules([EMPTY_RULE], x, oracle)
+        cands = cf_rules([0], x, oracle)
         empty_ok = oracle.consistent(EMPTY_RULE, x)
 
     final: Optional[Rule] = EMPTY_RULE if empty_ok else None
     iterations = 0
     if final is None:
-        pop = sorted(set(cands), key=order)
-        expanded = {EMPTY_RULE}
+        pop = sorted(set(cands), key=mask_order)
+        expanded = {0}
         while pop:
             head = pop[0]
+            rule = codec.rule(head)
             with timer.phase("cfrules"):
-                head_ok = oracle.consistent(head, x)
+                head_ok = oracle.consistent(rule, x)
             if head_ok:
-                final = head
+                final = rule
                 break
             pop.pop(0)
             iterations += 1
@@ -430,12 +426,12 @@ def greedy_rule_cf(
             with timer.phase("cfrules"):
                 children = cf_rules([head], x, oracle)
             merged = set(pop) | {c for c in children if c not in expanded}
-            pop = sorted(merged, key=order)[: params.q]
+            pop = sorted(merged, key=mask_order)[: params.q]
 
     converged = final is not None
     if final is None:
         # safety fallback: freezing every feature is always verifiable
-        final = trivial_rule(x)
+        final = codec.rule(codec.full)
         with timer.phase("cfrules"):
             oracle.consistent(final, x)
 

@@ -34,6 +34,7 @@ from .schema import (
     SlotCodec,
     make_schema,
     mask_bits,
+    mask_slots,
     rows_in_box,
 )
 
@@ -195,7 +196,7 @@ def minimal_rule_search(
         slot_rows, all_good = codec.row_bits(good)
 
         def consistent(mask: int) -> bool:
-            return not rows_in_box(mask_bits(mask), slot_rows, all_good)
+            return not rows_in_box(mask_slots(mask), slot_rows, all_good)
 
         # a slot that admits every good instance can never appear in a
         # minimum-cardinality witness

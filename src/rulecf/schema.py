@@ -145,9 +145,6 @@ class Rule:
     def is_relevant_to(self, x: Instance) -> bool:
         return all(c.feature < len(x) and c.bound == x[c.feature] for c in self.components)
 
-    def union(self, components: Iterable[RuleComponent]) -> "Rule":
-        return Rule(self.components + tuple(components))
-
     def without(self, component: RuleComponent) -> "Rule":
         return Rule(tuple(c for c in self.components if c != component))
 
@@ -173,28 +170,6 @@ class Rule:
 
 
 EMPTY_RULE = Rule()
-
-
-@dataclass(frozen=True)
-class DualClause:
-    """A disjunctive set of components, each conflicting with one instance."""
-
-    components: tuple = ()
-
-    def __post_init__(self):
-        comps = tuple(sorted(set(self.components), key=lambda c: c.sort_key))
-        object.__setattr__(self, "components", comps)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __str__(self) -> str:
-        if not self.components:
-            return "(empty clause)"
-        return " OR ".join(str(c) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -230,6 +205,10 @@ class DatasetSchema:
         for pos, f in enumerate(feats):
             if f.index != pos:
                 raise SchemaError(f"feature {f.name!r} has index {f.index}, expected {pos}")
+        names = Counter(f.name for f in feats)
+        duplicates = [name for name, count in names.items() if count > 1]
+        if duplicates:
+            raise SchemaError(f"duplicate feature name {duplicates[0]!r}")
         object.__setattr__(self, "features", feats)
 
     @property
@@ -406,6 +385,16 @@ def mask_bits(mask: int) -> list:
     return bits
 
 
+def mask_slots(mask: int) -> tuple:
+    """The slots of a non-negative ``mask``, ascending."""
+    return tuple(bit.bit_length() - 1 for bit in mask_bits(mask))
+
+
+def mask_order(mask: int) -> tuple:
+    """Smaller masks first, then canonical component order."""
+    return (mask.bit_count(), mask_slots(mask))
+
+
 class SlotCodec:
     """Rules anchored at ``x`` as ``int`` masks over ``2n`` slots.
 
@@ -452,11 +441,11 @@ class SlotCodec:
         )
 
 
-def rows_in_box(bits: Iterable[int], slot_rows: Sequence[int], rows: int) -> int:
-    """The rows of bitset ``rows`` admitted by every slot in ``bits`` (single-bit
-    ints, as :func:`mask_bits` lists them), given ``SlotCodec.row_bits``."""
-    for bit in bits:
-        rows &= slot_rows[bit.bit_length() - 1]
+def rows_in_box(slots: Iterable[int], slot_rows: Sequence[int], rows: int) -> int:
+    """The rows of bitset ``rows`` admitted by every slot in ``slots``, given
+    ``SlotCodec.row_bits``."""
+    for slot in slots:
+        rows &= slot_rows[slot]
         if not rows:
             break
     return rows

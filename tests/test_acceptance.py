@@ -34,7 +34,6 @@ from rulecf import (
     trivial_rule,
 )
 from rulecf.consistency import BruteForceOutcome, ConsistencyLevel
-from rulecf.duality import _minimal_hitting_sets
 from rulecf.harness import (
     SyntheticCategory,
     box_dataset,
@@ -42,7 +41,7 @@ from rulecf.harness import (
     gen_synthetic_classifier,
     run_synthetic_experiment,
 )
-from rulecf.schema import Direction
+from rulecf.schema import Direction, SlotCodec, mask_slots
 
 from conftest import (
     all_instances,
@@ -137,13 +136,16 @@ def test_criterion_3_worked_example():
     cf_1 = (50.0, 5.0, 900.0, 10000.0)
     cf_2 = (50.0, 4.0, 600.0, 2000.0)
 
+    codec = SlotCodec(anchor)
     d1 = dual_of(anchor, cf_1)
     d2 = dual_of(anchor, cf_2)
-    assert set(d1.components) == {leq(1, 4), leq(2, 500)}
-    assert set(d2.components) == {leq(2, 500), geq(3, 10000)}
+    assert codec.rule(d1) == Rule((leq(1, 4), leq(2, 500)))
+    assert codec.rule(d2) == Rule((leq(2, 500), geq(3, 10000)))
 
     covers = minimal_set_covers([d1, d2])
-    assert covers == [(leq(2, 500),), (leq(1, 4), geq(3, 10000))]
+    assert [codec.rule(c) for c in covers] == [
+        Rule((leq(2, 500),)), Rule((leq(1, 4), geq(3, 10000))),
+    ]
 
     parent = Rule((leq(0, 50), geq(1, 4)))
 
@@ -162,10 +164,10 @@ def test_criterion_3_worked_example():
             self.cache.put(rule, out)
             return out
 
-    candidates = cf_rules([parent], anchor, Injected())
+    candidates = cf_rules([codec.mask(parent)], anchor, Injected())
     r1 = Rule((leq(0, 50), geq(1, 4), leq(2, 500)))
     r2 = Rule((leq(0, 50), leq(1, 4), geq(1, 4), geq(3, 10000)))
-    assert candidates == [r1, r2]
+    assert [codec.rule(c) for c in candidates] == [r1, r2]
     assert r1.cardinality == 3 and r2.cardinality == 4
     report(3, "duals, covers, and extended rules reproduce the loan example")
 
@@ -186,7 +188,8 @@ def test_criterion_4_duality_properties():
         goods = [x for x in instances if model.predict(x) > 0.5]
         if not goods:
             continue
-        comps = trivial_rule(anchor).components
+        codec = SlotCodec(anchor)
+        comps = codec.components
         pool = [
             Rule(tuple(combo))
             for r in (1, 2, 3)
@@ -204,8 +207,7 @@ def test_criterion_4_duality_properties():
                 # (a) consistent rule excludes every counterfactual
                 assert not rule.evaluate(x_cf)
                 # (b) its dual intersects every consistent rule
-                clause = dual_of(anchor, x_cf)
-                assert set(clause.components) & set(rule.components)
+                assert dual_of(anchor, x_cf) & codec.mask(rule)
     report(4, f"{triples} consistent-rule triples, zero violations of either law")
 
 
@@ -224,8 +226,11 @@ def _oracle_hitting_sets(clauses, universe):
     )
 
 
-def _norm(sets):
-    return sorted(sets, key=lambda h: (len(h), tuple(sorted(c.sort_key for c in h))))
+def _covers(family, universe):
+    """``minimal_set_covers`` on the slot masks of component clauses, read
+    back as component sets; ``universe`` lists the components in slot order."""
+    masks = [sum(1 << universe.index(c) for c in clause) for clause in family]
+    return [frozenset(universe[s] for s in mask_slots(m)) for m in minimal_set_covers(masks)]
 
 
 def test_criterion_5_hitting_set_oracle_equivalence():
@@ -244,7 +249,7 @@ def test_criterion_5_hitting_set_oracle_equivalence():
     ]
     for size in (0, 1, 2, 3):
         for family in itertools.combinations(clauses4, size):
-            got = _norm([frozenset(s) for s in _minimal_hitting_sets([set(c) for c in family])])
+            got = _covers(family, universe4)
             assert got == _oracle_hitting_sets(family, universe4)
             families += 1
 
@@ -256,7 +261,7 @@ def test_criterion_5_hitting_set_oracle_equivalence():
             frozenset(rng.sample(universe8, rng.randint(1, 4)))
             for _ in range(rng.randint(1, 6))
         ]
-        got = _norm([frozenset(s) for s in _minimal_hitting_sets([set(c) for c in family])])
+        got = _covers(family, universe8)
         assert got == _oracle_hitting_sets(family, universe8)
         families += 1
 
@@ -266,7 +271,7 @@ def test_criterion_5_hitting_set_oracle_equivalence():
     full = [frozenset(universe8)]
     for family in (singletons, nested, full, singletons + nested):
         family = family[:6]
-        got = _norm([frozenset(s) for s in _minimal_hitting_sets([set(c) for c in family])])
+        got = _covers(family, universe8)
         assert got == _oracle_hitting_sets(family, universe8)
         families += 1
     report(5, f"{families} families matched the exhaustive subset oracle")

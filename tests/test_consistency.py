@@ -5,7 +5,6 @@ import pytest
 
 from rulecf import (
     BruteForceOutcome,
-    CfCache,
     ConsistencyLevel,
     CounterfactualOracle,
     Dataset,
@@ -182,11 +181,10 @@ class TestConsistentCf:
 
         model = RuleClassifier(Rule((leq(0, 2),)), 3)
         anchor = (0.0, 1.0, 1.0)
-        cache = CfCache()
         engine = CounterfactualEngine()
+        oracle = CounterfactualOracle(model, self.data, engine=engine)
         rule = Rule((leq(0, 0),))
         for _ in range(2):
-            oracle = CounterfactualOracle(model, self.data, cache=cache, engine=engine)
             oracle.consistent(rule, anchor)
         assert engine.queries == 1
 

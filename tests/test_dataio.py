@@ -72,6 +72,12 @@ class TestIngest:
         with pytest.raises(IngestError, match="2 active"):
             ingest_csv(write(tmp_path, text), groups={"color": ["red", "green"]})
 
+    def test_group_named_like_a_column_rejected(self, tmp_path):
+        # the group would give the schema two features called "age"
+        text = "age,red,green\n30,1,0\n40,0,1\n"
+        with pytest.raises(SchemaError, match="duplicate feature name 'age'"):
+            ingest_csv(write(tmp_path, text), groups={"age": ["red", "green"]})
+
     def test_group_unknown_column(self, tmp_path):
         with pytest.raises(IngestError, match="unknown column"):
             ingest_csv(write(tmp_path, CSV), groups={"g": ["nope"]})

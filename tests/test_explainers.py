@@ -28,8 +28,9 @@ from rulecf import (
     select_fittest,
     trivial_rule,
 )
+from rulecf.classifiers import TreeClassifier, TreeLeaf, TreeNode
 from rulecf.explainers import _Scorer, cfrules_scheduled
-from rulecf.schema import SlotCodec, mask_bits, rows_in_box
+from rulecf.schema import SlotCodec, mask_bits, mask_slots, rows_in_box
 from rulecf.harness import box_dataset
 
 from conftest import find_bad_anchor, random_rule_model, small_schema, uniform_dataset
@@ -311,6 +312,17 @@ class TestGreedyRuleCf:
         heads = oracle.query_cards[1:]
         assert heads == sorted(heads)
 
+    def test_equal_size_ties_go_to_canonical_order(self):
+        # bad when f0 <= 1 or f1 <= 1: both "f0 <= 0" and "f1 <= 0" are
+        # consistent, and the one first in component order wins
+        nodes = {0: TreeNode(0, 1.0, 1, 2), 1: TreeLeaf(0.1), 2: TreeNode(1, 1.0, 3, 4),
+                 3: TreeLeaf(0.1), 4: TreeLeaf(0.9)}
+        model = TreeClassifier(nodes, 2)
+        data = uniform_dataset(small_schema((4, 4)), 20, seed=2)
+        result = greedy_rule_cf((0.0, 0.0), model, data, SearchParams(seed=2))
+        assert result.converged
+        assert result.top.rule == Rule((leq(0, 0.0),))
+
     def test_output_survives_zero_removal_test(self):
         _, model, anchor, data = two_component_problem()
         oracle = CounterfactualOracle(model, data, seed=5)
@@ -366,7 +378,7 @@ class TestReduceRedundancy:
         schema, model, anchor, data = two_component_problem()
         truth = model.rule.anchored_to(anchor)
         # add a component at the domain edge: satisfied by every instance
-        padded = truth.union((geq(3, 0.0),))
+        padded = Rule(truth.components + (geq(3, 0.0),))
         reduced = reduce_redundancy(padded, anchor, CounterfactualOracle(model, data))
         assert reduced == truth
 
@@ -447,7 +459,7 @@ def rule_mutate(pop, universe, m, rng):
         present = set(parent.components)
         complement = [c for c in universe if c not in present]
         for comp in rng.sample(complement, min(m, len(complement))):
-            children.append(parent.union((comp,)))
+            children.append(Rule(parent.components + (comp,)))
     return children
 
 
@@ -535,10 +547,11 @@ class TestMaskOperatorsMatchRuleReference:
         X = np.random.default_rng(rows).integers(0, 4, size=(rows, 4)).astype(float)
         slot_rows, all_rows = codec.row_bits(X)
         for rule in pop:
-            inside = rows_in_box(mask_bits(codec.mask(rule)), slot_rows, all_rows)
+            inside = rows_in_box(mask_slots(codec.mask(rule)), slot_rows, all_rows)
             assert inside.bit_count() == np.count_nonzero(rule.matrix_mask(X))
 
     def test_mask_bits_ascending_single_bits(self):
         for mask in (0, 1, 0b1011, (1 << 70) | (1 << 9) | 4, (1 << 200) - 1):
             bits = mask_bits(mask)
             assert bits == [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
+            assert mask_slots(mask) == tuple(k for k in range(mask.bit_length()) if mask >> k & 1)

@@ -10,7 +10,10 @@ sampled grading both reach these outputs.
 61 history rows (40 drawn from the rule's box, 20 uniform, plus the anchor
 first). Its ``gen`` run never converges and stops at ``--max-iterations 40``
 with the default ``q=50``, so the output pins the crossover and mutation
-draws over many full-population iterations.
+draws over many full-population iterations. Its ``gen-cf`` and ``greedy-cf``
+runs grow rules from the dual clauses of 12-feature anchors (``gen-cf``
+expands clause families 160 times), so these outputs pin the clauses, their
+covers and the rules grown from them.
 
 A change that alters these outputs on purpose re-records the files by running
 the argv below and says why in its change log.
@@ -53,6 +56,17 @@ def test_long_gen_run_matches_golden(capsys):
     out = capsys.readouterr().out
     assert '"converged": false' in out
     assert out == (GOLDEN / "explain_rule12_gen.json").read_text()
+
+
+@pytest.mark.parametrize("algo", ["gen-cf", "greedy-cf"])
+def test_rule12_cf_runs_match_golden(algo, capsys):
+    argv = [
+        "explain", "--data", str(GOLDEN / "rule12_data.csv"),
+        "--model", str(GOLDEN / "rule12_model.txt"), "--instance", "0",
+        "--algo", algo, "--seed", "3", "--max-iterations", "40", "--format", "json",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"explain_rule12_{algo}.json").read_text()
 
 
 def test_synthetic_report_matches_golden(tmp_path, capsys):

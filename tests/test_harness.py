@@ -92,7 +92,7 @@ class TestCategorizeSynthetic:
 
     def test_strict_superset(self):
         truth = Rule((leq(0, 3), geq(1, 2)))
-        bigger = truth.union((leq(2, 5),))
+        bigger = Rule(truth.components + (leq(2, 5),))
         assert categorize_synthetic(bigger, truth) is SyntheticCategory.CONSISTENT_REDUNDANT
 
     def test_missing_component(self):
@@ -251,7 +251,7 @@ class TestCategorizeReal:
 
     def test_gc_redundant(self):
         data = box_dataset(self.schema, self.truth, 40, seed=1)
-        padded = self.anchored.union((leq(2, 0),))
+        padded = Rule(self.anchored.components + (leq(2, 0),))
         cat = categorize_real(padded, self.anchor, self.model, data, s=400, seed=0)
         assert cat is RealCategory.GC_REDUNDANT
 

@@ -251,6 +251,14 @@ class TestSchemaTypes:
         with pytest.raises(SchemaError):
             DatasetSchema((f0, f2))
 
+    def test_feature_names_must_be_unique(self):
+        f0 = FeatureSchema(0, "age", (1.0,))
+        f1 = FeatureSchema(1, "age", (1.0, 2.0))
+        with pytest.raises(SchemaError, match="duplicate feature name 'age'"):
+            DatasetSchema((f0, f1))
+        with pytest.raises(SchemaError, match="duplicate feature name"):
+            make_schema([[0.0], [0.0]], names=["x", "x"])
+
     def test_dataset_rejects_off_domain_values(self):
         schema = small_schema((3, 3))
         with pytest.raises(SchemaError):
