@@ -35,7 +35,6 @@ from .consistency import (
 )
 from .dataio import IngestError, export_csv, format_rule, ingest_csv, load_rule_file
 from .duality import (
-    CfCache,
     CfOutcome,
     CounterfactualOracle,
     cf_rules,
@@ -54,7 +53,6 @@ from .explainers import (
     mutate,
     rank_key,
     reduce_redundancy,
-    select_fittest,
 )
 from .harness import (
     ALGORITHMS,

@@ -25,7 +25,7 @@ from .dataio import IngestError, format_component, format_rule, ingest_csv, load
 from .duality import CounterfactualOracle
 from .explainers import SearchParams
 from .harness import ALGORITHMS, default_experiment_schema, run_experiment_suite
-from .schema import SchemaError, make_schema
+from .schema import SchemaError, SlotCodec, make_schema
 
 
 def _parse_groups(raw_groups):
@@ -164,7 +164,8 @@ def cmd_verify(args) -> int:
         anchor = data.row(args.instance)
         if not rule.is_relevant_to(anchor):
             raise SchemaError("rule is not relevant to the chosen instance")
-        ok = CounterfactualOracle(model, data, seed=args.seed).consistent(rule, anchor)
+        mask = SlotCodec(anchor).mask(rule)
+        ok = CounterfactualOracle(model, data, seed=args.seed).consistent(mask, anchor)
         print(f"cf_consistent={str(ok).lower()}")
     else:
         outcome = brute_force_global_consistent(rule, model, data.schema)

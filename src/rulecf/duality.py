@@ -13,7 +13,6 @@ anchor's components (see ``schema.SlotCodec``); a clause hits a rule when
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -100,30 +99,6 @@ class CfOutcome:
     duals: tuple = ()
 
 
-class CfCache:
-    """Thread-safe rule -> outcome map; identical keys always agree."""
-
-    def __init__(self):
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def get(self, rule: Rule) -> Optional[CfOutcome]:
-        with self._lock:
-            return self._entries.get(rule)
-
-    def put(self, rule: Rule, outcome: CfOutcome) -> None:
-        with self._lock:
-            self._entries[rule] = outcome
-
-    def __contains__(self, rule: Rule) -> bool:
-        with self._lock:
-            return rule in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 def _rule_digest(rule: Rule) -> int:
     text = ";".join(f"{c.feature}{c.direction.value}{c.bound!r}" for c in rule.components)
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
@@ -138,8 +113,10 @@ def derive_seed(base: int, *tags) -> int:
 class CounterfactualOracle:
     """Counterfactual engine plus cache: at most one query per distinct rule.
 
-    Dual clauses are masks over one anchor's slots, so an oracle serves the
-    first anchor it answers for and rejects any other.
+    Rules are slot masks anchored at the oracle's anchor (``cache`` maps a
+    mask to its ``CfOutcome``), and so are their dual clauses; an oracle
+    serves the first anchor it answers for and rejects any other. The
+    ``Rule`` a query needs is built only when the cache misses.
     """
 
     def __init__(
@@ -156,19 +133,23 @@ class CounterfactualOracle:
         self.k = k
         self.budget = budget if budget is not None else CfBudget()
         self.seed = seed
-        self.cache = CfCache()
+        self.cache: dict = {}
+        self._covers: dict = {}
         self.engine = engine if engine is not None else CounterfactualEngine()
         self.anchor: Optional[Instance] = None
+        self.codec: Optional[SlotCodec] = None
 
-    def outcome(self, rule: Rule, anchor: Instance) -> CfOutcome:
+    def outcome(self, mask: int, anchor: Instance) -> CfOutcome:
         anchor = tuple(anchor)
         if self.anchor is None:
             self.anchor = anchor
+            self.codec = SlotCodec(anchor)
         elif anchor != self.anchor:
             raise ValueError(f"this oracle answers for anchor {self.anchor}, not {anchor}")
-        cached = self.cache.get(rule)
+        cached = self.cache.get(mask)
         if cached is not None:
             return cached
+        rule = self.codec.rule(mask)
         query = CfQuery(
             anchor=anchor,
             rule=rule,
@@ -181,11 +162,20 @@ class CounterfactualOracle:
             dict.fromkeys(dual_of(anchor, cf.instance) for cf in result.counterfactuals)
         )
         outcome = CfOutcome(found=result.found, duals=duals)
-        self.cache.put(rule, outcome)
+        self.cache[mask] = outcome
         return outcome
 
-    def consistent(self, rule: Rule, anchor: Instance) -> bool:
-        return not self.outcome(rule, anchor).found
+    def consistent(self, mask: int, anchor: Instance) -> bool:
+        return not self.outcome(mask, anchor).found
+
+    def covers(self, duals: tuple) -> list:
+        """``_covers_for_expansion(duals)``, computed once per clause family;
+        the covers do not depend on the clauses' order."""
+        key = frozenset(duals)
+        covers = self._covers.get(key)
+        if covers is None:
+            covers = self._covers[key] = _covers_for_expansion(duals)
+        return covers
 
 
 # rule growth keeps the covers whose non-forced part has at most
@@ -217,18 +207,17 @@ def cf_rules(pop: Iterable[int], x: Instance, oracle: CounterfactualOracle) -> l
     with no counterfactual yield nothing; for the rest, each minimal cover
     of the dual clauses yields one strictly larger candidate mask.
     """
-    codec = SlotCodec(x)
     candidates: list = []
     emitted: set = set()
     for parent in sorted(dict.fromkeys(pop), key=mask_slots):
-        outcome = oracle.outcome(codec.rule(parent), x)
+        outcome = oracle.outcome(parent, x)
         if not outcome.found:
             continue
         if any(parent & clause for clause in outcome.duals):
             raise RuntimeError(
                 "counterfactual engine returned an instance violating its constraints"
             )
-        for cover in _covers_for_expansion(outcome.duals):
+        for cover in oracle.covers(outcome.duals):
             child = parent | cover
             if child != parent and child not in emitted:
                 emitted.add(child)

@@ -23,7 +23,6 @@ from .consistency import ConsistencyLevel, Level, sample_satisfying
 from .duality import CounterfactualOracle, _rule_digest, cf_rules, derive_seed
 from .schema import (
     Dataset,
-    EMPTY_RULE,
     Instance,
     Rule,
     SlotCodec,
@@ -217,38 +216,23 @@ class _Scorer:
         unique.sort(key=self._keys.__getitem__)
         return unique[:q]
 
-    def score(self, rule: Rule, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
-        level = self.level(self.codec.mask(rule))
+    def score(self, mask: int, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
+        level = self.level(mask)
         return ScoredRule(
-            rule, level, fitness(rule.cardinality, self.schema.n, level, self.data.m, self.s),
-            _cf_verified(oracle, rule, level),
+            self.codec.rule(mask), level,
+            fitness(mask.bit_count(), self.schema.n, level, self.data.m, self.s),
+            _cf_verified(oracle, mask, level),
         )
 
 
-def _cf_verified(oracle: Optional[CounterfactualOracle], rule: Rule, level) -> bool:
+def _cf_verified(oracle: Optional[CounterfactualOracle], mask: int, level) -> bool:
     """The oracle found no counterfactual in the rule's box and the database
     holds no good row there: a database violation proves inconsistency even
     where a heuristic counterfactual search missed it."""
     if oracle is None or level.vd:
         return False
-    cached = oracle.cache.get(rule)
+    cached = oracle.cache.get(mask)
     return cached is not None and not cached.found
-
-
-def select_fittest(
-    x: Instance,
-    cands: Iterable[Rule],
-    model: Classifier,
-    data: Dataset,
-    q: int,
-    s: int,
-    seed: int = 0,
-    oracle: Optional[CounterfactualOracle] = None,
-) -> list:
-    """Deduplicate, grade, and rank candidates; keep the best ``q``."""
-    scorer = _Scorer(model, data, s, seed, x)
-    masks = [scorer.codec.mask(r) for r in cands]
-    return [scorer.score(scorer.codec.rule(m), oracle) for m in scorer.rank(masks, q)]
 
 
 def _check_anchor(x: Instance, model: Classifier, data: Dataset) -> tuple:
@@ -270,7 +254,7 @@ def cfrules_scheduled(iteration: int, cf_period: int, prev_levels) -> bool:
 
 
 def _finish(topk, scorer, oracle, model, calls0, iterations, timer, t0, converged):
-    rules = [scorer.score(rule, oracle) for rule in topk]
+    rules = [scorer.score(mask, oracle) for mask in topk]
     stats = RunStats(
         iterations=iterations,
         classifier_calls=model.calls - calls0,
@@ -297,7 +281,8 @@ def _run_genetic(
     rng_mut = random.Random(derive_seed(params.seed, "mutate"))
 
     # the search holds rules as slot masks; Rules are built only to sample a
-    # box, to query the oracle and for the returned top rules
+    # box, for an oracle query the cache cannot answer and for the returned
+    # top rules
     with timer.phase("prep"):
         scorer = _Scorer(model, data, params.s, params.seed, x)
         codec = scorer.codec
@@ -339,13 +324,12 @@ def _run_genetic(
         consistent_ok = all(level.level is Level.GC for level in prev_levels)
         if consistent_ok and use_cf:
             with timer.phase("cfrules"):
-                consistent_ok = all(oracle.consistent(codec.rule(m), x) for m in topk)
+                consistent_ok = all(oracle.consistent(mask, x) for mask in topk)
         stable = new_rules.isdisjoint(topk)
         if consistent_ok and stable:
             converged = True
             break
 
-    topk = [codec.rule(mask) for mask in topk]
     if use_cf and topk and oracle.consistent(topk[0], x):
         with timer.phase("reduce"):
             reduced = reduce_redundancy(topk[0], x, oracle)
@@ -394,27 +378,25 @@ def greedy_rule_cf(
 
     with timer.phase("prep"):
         scorer = _Scorer(model, data, params.s, params.seed, x)
-        codec = scorer.codec
         if oracle is None:
             oracle = CounterfactualOracle(
                 model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
             )
     with timer.phase("cfrules"):
         cands = cf_rules([0], x, oracle)
-        empty_ok = oracle.consistent(EMPTY_RULE, x)
+        empty_ok = oracle.consistent(0, x)
 
-    final: Optional[Rule] = EMPTY_RULE if empty_ok else None
+    final: Optional[int] = 0 if empty_ok else None
     iterations = 0
     if final is None:
         pop = sorted(set(cands), key=mask_order)
         expanded = {0}
         while pop:
             head = pop[0]
-            rule = codec.rule(head)
             with timer.phase("cfrules"):
-                head_ok = oracle.consistent(rule, x)
+                head_ok = oracle.consistent(head, x)
             if head_ok:
-                final = rule
+                final = head
                 break
             pop.pop(0)
             iterations += 1
@@ -431,25 +413,24 @@ def greedy_rule_cf(
     converged = final is not None
     if final is None:
         # safety fallback: freezing every feature is always verifiable
-        final = codec.rule(codec.full)
+        final = scorer.codec.full
         with timer.phase("cfrules"):
             oracle.consistent(final, x)
 
     return _finish([final], scorer, oracle, model, calls0, iterations, timer, t0, converged)
 
 
-def reduce_redundancy(rule: Rule, x: Instance, oracle: CounterfactualOracle) -> Rule:
-    """Drop components one at a time while the rule stays verified consistent."""
-    if not oracle.consistent(rule, x):
+def reduce_redundancy(mask: int, x: Instance, oracle: CounterfactualOracle) -> int:
+    """Drop slots one at a time, lowest first, while the rule stays verified
+    consistent."""
+    if not oracle.consistent(mask, x):
         raise ValueError("rule must be verified consistent before reduction")
-    current = rule
     progress = True
     while progress:
         progress = False
-        for comp in current.components:
-            cand = current.without(comp)
-            if oracle.consistent(cand, x):
-                current = cand
+        for bit in mask_bits(mask):
+            if oracle.consistent(mask & ~bit, x):
+                mask &= ~bit
                 progress = True
                 break
-    return current
+    return mask

@@ -206,7 +206,7 @@ def minimal_rule_search(
             oracle = CounterfactualOracle(model, data)
 
         def consistent(mask: int) -> bool:
-            return oracle.consistent(codec.rule(mask), x)
+            return oracle.consistent(mask, x)
 
     for size in range(0, cap + 1):
         witnesses = tuple(
@@ -230,16 +230,20 @@ def categorize_real(
     minimal_cap: int = 6,
     space_cap: int = 1_000_000,
 ) -> RealCategory:
-    """Five-way audit of a returned rule when no ground truth is known."""
+    """Five-way audit of a returned rule when no ground truth is known.
+
+    ``returned`` must be anchored at ``x`` (``SchemaError`` otherwise).
+    """
+    mask = SlotCodec(x).mask(returned)
     level = consistency_level(returned, data, model, s=s, seed=seed)
     if level.level is Level.FDC:
         return RealCategory.FDC
     if oracle is None:
         oracle = CounterfactualOracle(model, data, seed=seed)
-    if level.level is Level.FGC or not oracle.consistent(returned, x):
+    if level.level is Level.FGC or not oracle.consistent(mask, x):
         return RealCategory.FGC
-    for comp in returned.components:
-        if oracle.consistent(returned.without(comp), x):
+    for bit in mask_bits(mask):
+        if oracle.consistent(mask & ~bit, x):
             return RealCategory.GC_REDUNDANT
     found = minimal_rule_search(
         x, model, data, cap=minimal_cap, space_cap=space_cap, oracle=oracle

@@ -315,7 +315,16 @@ class Dataset:
     instances: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_value(v) for v in row) for row in self.instances)
+        instances = tuple(self.instances)
+        try:
+            rows = tuple(tuple(map(float, row)) for row in instances)
+        except (TypeError, ValueError, OverflowError):
+            rows = None
+        # any nan or inf cell makes the sum non-finite
+        if rows is None or not math.isfinite(sum(map(sum, rows))):
+            # raises for the first offending cell in row-major order (a
+            # finite sum that overflowed converts cleanly)
+            rows = tuple(tuple(_as_value(v) for v in row) for row in instances)
         n = self.schema.n
         # rows before the first one of the wrong width fit in the matrix
         first_bad = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))

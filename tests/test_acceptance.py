@@ -12,8 +12,10 @@ import time
 import pytest
 
 from rulecf import (
+    CfOutcome,
     CfQuery,
     CounterfactualEngine,
+    CounterfactualOracle,
     Level,
     Rule,
     RuleComponent,
@@ -149,22 +151,15 @@ def test_criterion_3_worked_example():
 
     parent = Rule((leq(0, 50), geq(1, 4)))
 
-    class Injected:
+    class Injected(CounterfactualOracle):
         """Oracle stub returning exactly the example's two counterfactuals."""
 
-        def __init__(self):
-            from rulecf import CfCache
-
-            self.cache = CfCache()
-
-        def outcome(self, rule, x):
-            from rulecf import CfOutcome
-
+        def outcome(self, mask, x):
             out = CfOutcome(found=True, duals=(d1, d2))
-            self.cache.put(rule, out)
+            self.cache[mask] = out
             return out
 
-    candidates = cf_rules([codec.mask(parent)], anchor, Injected())
+    candidates = cf_rules([codec.mask(parent)], anchor, Injected(None, None))
     r1 = Rule((leq(0, 50), geq(1, 4), leq(2, 500)))
     r2 = Rule((leq(0, 50), leq(1, 4), geq(1, 4), geq(3, 10000)))
     assert [codec.rule(c) for c in candidates] == [r1, r2]

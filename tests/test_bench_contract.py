@@ -77,3 +77,7 @@ def test_traced_rows_equal_classifier_calls():
     assert tracer.count["cf_queries"] == result.stats.cf_calls > 0
     assert tracer.count["cf_rules"] > 0
     assert tracer.count["covers"] > 0
+    # the traced oracle tests hits with the key the search looks up: a key
+    # type the cache does not hold would read 0 hits without any error
+    assert tracer.count["oracle_hits"] > 0
+    assert tracer.count["oracle_lookups"] - tracer.count["oracle_hits"] == result.stats.cf_calls

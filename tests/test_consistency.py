@@ -19,6 +19,7 @@ from rulecf import (
     trivial_rule,
 )
 from rulecf.consistency import sample_satisfying, violations_in_data
+from rulecf.schema import SlotCodec
 
 from conftest import (
     all_instances,
@@ -162,18 +163,19 @@ class TestConsistentCf:
     def test_trivial_rule_always_consistent(self):
         model = RuleClassifier(Rule((leq(0, 2),)), 3)
         anchor = (0.0, 1.0, 1.0)
-        assert CounterfactualOracle(model, self.data).consistent(trivial_rule(anchor), anchor)
+        full = SlotCodec(anchor).mask(trivial_rule(anchor))
+        assert CounterfactualOracle(model, self.data).consistent(full, anchor)
 
     def test_empty_rule_inconsistent_with_goods(self):
         model = RuleClassifier(Rule((leq(0, 2),)), 3)
         anchor = (0.0, 1.0, 1.0)
         assert find_good_instance(model, self.schema) is not None
-        assert not CounterfactualOracle(model, self.data).consistent(Rule(), anchor)
+        assert not CounterfactualOracle(model, self.data).consistent(0, anchor)
 
     def test_ground_truth_rule_verified(self):
         model = RuleClassifier(Rule((leq(0, 2), geq(1, 1))), 3)
         anchor = (0.0, 1.0, 1.0)
-        truth_anchored = model.rule.anchored_to(anchor)
+        truth_anchored = SlotCodec(anchor).mask(model.rule.anchored_to(anchor))
         assert CounterfactualOracle(model, self.data).consistent(truth_anchored, anchor)
 
     def test_cache_reuse(self):
@@ -183,7 +185,7 @@ class TestConsistentCf:
         anchor = (0.0, 1.0, 1.0)
         engine = CounterfactualEngine()
         oracle = CounterfactualOracle(model, self.data, engine=engine)
-        rule = Rule((leq(0, 0),))
+        rule = SlotCodec(anchor).mask(Rule((leq(0, 0),)))
         for _ in range(2):
             oracle.consistent(rule, anchor)
         assert engine.queries == 1
@@ -204,7 +206,7 @@ class TestConsistentCf:
                 rule = Rule(combo)
                 expected = brute_force_global_consistent(rule, model, self.schema)
                 oracle = CounterfactualOracle(model, self.data, seed=trial)
-                got = oracle.consistent(rule, anchor)
+                got = oracle.consistent(SlotCodec(anchor).mask(rule), anchor)
                 assert got == (expected is BruteForceOutcome.CONSISTENT)
                 checked += 1
         assert checked > 30

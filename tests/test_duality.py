@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rulecf import (
-    CfCache,
-    CfOutcome,
+    CfResult,
+    Counterfactual,
     CounterfactualOracle,
     Rule,
     RuleClassifier,
@@ -194,28 +194,23 @@ def random_family(rng):
     return universe, family
 
 
-class StubOracle:
-    """Cached oracle whose counterfactuals are injected per rule."""
+class StubEngine:
+    """Counterfactual engine whose counterfactuals are injected per rule."""
 
     def __init__(self, outcomes):
-        self.cache = CfCache()
-        self._outcomes = outcomes
+        self.outcomes = outcomes
+        self.queries = 0
 
-    def outcome(self, rule, anchor):
-        cached = self.cache.get(rule)
-        if cached is not None:
-            return cached
-        instances = self._outcomes.get(rule)
-        if instances is None:
-            out = CfOutcome(found=False)
-        else:
-            duals = tuple(dict.fromkeys(dual_of(anchor, x) for x in instances))
-            out = CfOutcome(found=True, duals=duals)
-        self.cache.put(rule, out)
-        return out
+    def find_counterfactuals(self, model, data, query):
+        self.queries += 1
+        return CfResult(tuple(
+            Counterfactual(x, frozenset(), 0.0) for x in self.outcomes.get(query.rule, ())
+        ))
 
-    def consistent(self, rule, anchor):
-        return not self.outcome(rule, anchor).found
+
+def StubOracle(outcomes):
+    """A real oracle (mask-keyed cache, cover memo) over a stub engine."""
+    return CounterfactualOracle(None, None, engine=StubEngine(outcomes))
 
 
 class TestCfRules:
@@ -227,7 +222,7 @@ class TestCfRules:
             parent: [(50.0, 5.0, 900.0, 10000.0), (50.0, 4.0, 600.0, 2000.0)],
         })
         candidates = cf_rules([codec.mask(parent)], anchor, oracle)
-        assert not oracle.consistent(parent, anchor)
+        assert not oracle.consistent(codec.mask(parent), anchor)
         r1 = Rule((leq(0, 50), geq(1, 4), leq(2, 500)))
         r2 = Rule((leq(0, 50), leq(1, 4), geq(1, 4), geq(3, 10000)))
         assert candidates == [codec.mask(r1), codec.mask(r2)]
@@ -235,9 +230,9 @@ class TestCfRules:
 
     def test_not_found_marks_verified(self):
         anchor = (1.0, 2.0)
-        rule = Rule((leq(0, 1),))
+        rule = SlotCodec(anchor).mask(Rule((leq(0, 1),)))
         oracle = StubOracle({})
-        candidates = cf_rules([SlotCodec(anchor).mask(rule)], anchor, oracle)
+        candidates = cf_rules([rule], anchor, oracle)
         assert candidates == []
         assert oracle.consistent(rule, anchor)
 
@@ -264,15 +259,15 @@ class TestCfRules:
         # parents given out of order and repeated come back in slot order,
         # each queried once
         anchor = (1.0, 1.0)
-        codec = SlotCodec(anchor)
         queried = []
 
-        class Recording(StubOracle):
-            def outcome(self, rule, anchor):
-                queried.append(codec.mask(rule))
-                return super().outcome(rule, anchor)
+        class Recording(CounterfactualOracle):
+            def outcome(self, mask, anchor):
+                queried.append(mask)
+                return super().outcome(mask, anchor)
 
-        cf_rules([mask(2), mask(0, 3), mask(1), mask(2)], anchor, Recording({}))
+        oracle = Recording(None, None, engine=StubEngine({}))
+        cf_rules([mask(2), mask(0, 3), mask(1), mask(2)], anchor, oracle)
         assert queried == [mask(0, 3), mask(1), mask(2)]
 
     def test_clause_hitting_the_parent_is_rejected(self):
@@ -294,11 +289,11 @@ class TestCfRules:
                 continue
             oracle = CounterfactualOracle(model, data, k=5, seed=trial)
             comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.3]
-            rule = Rule(tuple(comps))
+            rule = SlotCodec(anchor).mask(Rule(tuple(comps)))
             outcome = oracle.outcome(rule, anchor)
             for clause in outcome.duals:
                 checked += 1
-                assert not clause & SlotCodec(anchor).mask(rule)
+                assert not clause & rule
         assert checked > 5
 
     def test_one_query_per_distinct_rule(self):
@@ -310,7 +305,7 @@ class TestCfRules:
         masks = [0, SlotCodec(anchor).mask(Rule((leq(0, anchor[0]),))), 0]
         cf_rules(masks, anchor, oracle)
         cf_rules(masks, anchor, oracle)
-        oracle.consistent(Rule(()), anchor)
+        oracle.consistent(0, anchor)
         assert oracle.engine.queries == 2  # one per distinct rule
 
 
@@ -323,10 +318,10 @@ class TestOracleAnchor:
         data = uniform_dataset(schema, 25)
         model = RuleClassifier(Rule((leq(0, 1),)), 2)
         oracle = CounterfactualOracle(model, data, k=3, seed=0)
-        assert not oracle.consistent(Rule(), (0.0, 0.0))
-        assert not oracle.consistent(Rule(), [0, 0])  # the same anchor
+        assert not oracle.consistent(0, (0.0, 0.0))
+        assert not oracle.consistent(0, [0, 0])  # the same anchor
         with pytest.raises(ValueError, match="answers for anchor"):
-            oracle.outcome(Rule(), (1.0, 0.0))
+            oracle.outcome(0, (1.0, 0.0))
 
     def test_shared_oracle_across_greedy_runs(self):
         schema = small_schema((4, 4, 4))

@@ -25,7 +25,6 @@ from rulecf import (
     mutate,
     rank_key,
     reduce_redundancy,
-    select_fittest,
     trivial_rule,
 )
 from rulecf.classifiers import TreeClassifier, TreeLeaf, TreeNode
@@ -129,6 +128,14 @@ class TestCrossover:
         assert len(children) == 6  # 3 pairs x c=2
 
 
+def select_fittest(x, rules, model, data, q, s, oracle=None):
+    """The paper's SelectFittest step on anchored rules: grade, rank and keep
+    the best ``q`` through ``_Scorer.rank`` and ``_Scorer.score``."""
+    scorer = _Scorer(model, data, s, 0, x)
+    masks = [scorer.codec.mask(rule) for rule in rules]
+    return [scorer.score(mask, oracle) for mask in scorer.rank(masks, q)]
+
+
 class TestSelectFittest:
     def setup_method(self):
         self.schema = small_schema((4, 4, 4))
@@ -157,8 +164,6 @@ class TestSelectFittest:
         assert len(ranked) == 5
 
     def test_irrelevant_candidate_rejected(self):
-        from rulecf import SchemaError
-
         with pytest.raises(SchemaError):
             select_fittest(
                 self.anchor, [Rule((leq(0, 3),))], self.model, self.data, q=5, s=100
@@ -256,8 +261,9 @@ class TestGeneticRuleCf:
         truth = model.rule.anchored_to(anchor)
         # no component of the top rule is removable
         oracle = CounterfactualOracle(model, data, seed=5)
-        for comp in result.top.rule.components:
-            assert not oracle.consistent(result.top.rule.without(comp), anchor)
+        top = SlotCodec(anchor).mask(result.top.rule)
+        for bit in mask_bits(top):
+            assert not oracle.consistent(top & ~bit, anchor)
         assert result.top.rule == truth
 
     def test_deterministic(self):
@@ -274,11 +280,11 @@ class RecordingOracle(CounterfactualOracle):
         super().__init__(*args, **kwargs)
         self.query_cards = []
 
-    def outcome(self, rule, anchor):
-        fresh = self.cache.get(rule) is None
-        out = super().outcome(rule, anchor)
+    def outcome(self, mask, anchor):
+        fresh = mask not in self.cache
+        out = super().outcome(mask, anchor)
         if fresh:
-            self.query_cards.append(rule.cardinality)
+            self.query_cards.append(mask.bit_count())
         return out
 
 
@@ -327,9 +333,9 @@ class TestGreedyRuleCf:
         _, model, anchor, data = two_component_problem()
         oracle = CounterfactualOracle(model, data, seed=5)
         result = greedy_rule_cf(anchor, model, data, SearchParams(seed=5), oracle=oracle)
-        rule = result.top.rule
-        for comp in rule.components:
-            assert not oracle.consistent(rule.without(comp), anchor)
+        top = SlotCodec(anchor).mask(result.top.rule)
+        for bit in mask_bits(top):
+            assert not oracle.consistent(top & ~bit, anchor)
 
 
 class TestCfVerifiedStamp:
@@ -346,7 +352,7 @@ class TestCfVerifiedStamp:
     def test_database_violation_overrides_a_cached_no_counterfactual(self):
         # a cache entry claiming the empty rule has no counterfactual, as a
         # missed heuristic search would leave it
-        self.oracle.cache.put(Rule(()), CfOutcome(found=False))
+        self.oracle.cache[0] = CfOutcome(found=False)
         result = greedy_rule_cf(self.anchor, self.model, self.data, oracle=self.oracle)
         assert result.top.rule == Rule(())
         assert result.top.level.level is Level.FDC
@@ -354,7 +360,7 @@ class TestCfVerifiedStamp:
 
     def test_clean_verified_rule_is_stamped(self):
         truth = self.model.rule.anchored_to(self.anchor)
-        assert self.oracle.consistent(truth, self.anchor)
+        assert self.oracle.consistent(SlotCodec(self.anchor).mask(truth), self.anchor)
         ranked = select_fittest(
             self.anchor, [truth, Rule(())], self.model, self.data, q=2, s=100,
             oracle=self.oracle,
@@ -376,25 +382,26 @@ class TestOutputRelevance:
 class TestReduceRedundancy:
     def test_strips_vacuous_component(self):
         schema, model, anchor, data = two_component_problem()
+        codec = SlotCodec(anchor)
         truth = model.rule.anchored_to(anchor)
         # add a component at the domain edge: satisfied by every instance
-        padded = Rule(truth.components + (geq(3, 0.0),))
+        padded = codec.mask(Rule(truth.components + (geq(3, 0.0),)))
         reduced = reduce_redundancy(padded, anchor, CounterfactualOracle(model, data))
-        assert reduced == truth
+        assert codec.rule(reduced) == truth
 
     def test_minimal_rule_unchanged(self):
         _, model, anchor, data = two_component_problem()
-        truth = model.rule.anchored_to(anchor)
+        truth = SlotCodec(anchor).mask(model.rule.anchored_to(anchor))
         assert reduce_redundancy(truth, anchor, CounterfactualOracle(model, data)) == truth
 
     def test_requires_verified_rule(self):
         _, model, anchor, data = two_component_problem()
         with pytest.raises(ValueError):
-            reduce_redundancy(Rule(()), anchor, CounterfactualOracle(model, data))
+            reduce_redundancy(0, anchor, CounterfactualOracle(model, data))
 
     def test_fixpoint_under_repeat(self):
         _, model, anchor, data = two_component_problem()
-        padded = trivial_rule(anchor)
+        padded = SlotCodec(anchor).full
         once = reduce_redundancy(padded, anchor, CounterfactualOracle(model, data, seed=3))
         twice = reduce_redundancy(once, anchor, CounterfactualOracle(model, data, seed=3))
         assert once == twice
@@ -527,7 +534,7 @@ class TestMaskOperatorsMatchRuleReference:
         masks = list(range(scorer.codec.full + 1))  # every rule anchored at x
         rng.shuffle(masks)
         expected = sorted(
-            (scorer.score(scorer.codec.rule(m)) for m in masks), key=rank_key
+            (scorer.score(m) for m in masks), key=rank_key
         )
         got = scorer.rank(masks + masks[:20], len(masks))
         assert [scorer.codec.rule(m) for m in got] == [sr.rule for sr in expected]

@@ -12,8 +12,8 @@ first). Its ``gen`` run never converges and stops at ``--max-iterations 40``
 with the default ``q=50``, so the output pins the crossover and mutation
 draws over many full-population iterations. Its ``gen-cf`` and ``greedy-cf``
 runs grow rules from the dual clauses of 12-feature anchors (``gen-cf``
-expands clause families 160 times), so these outputs pin the clauses, their
-covers and the rules grown from them.
+expands parents 160 times over 25 distinct clause families), so these
+outputs pin the clauses, their covers and the rules grown from them.
 
 A change that alters these outputs on purpose re-records the files by running
 the argv below and says why in its change log.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from rulecf import CfBudget, ingest_csv
+from rulecf import CfBudget, duality, ingest_csv
 from rulecf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +67,27 @@ def test_rule12_cf_runs_match_golden(algo, capsys):
     ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"explain_rule12_{algo}.json").read_text()
+
+
+def test_rule12_gen_cf_enumerates_covers_once_per_family(monkeypatch, capsys):
+    # the oracle memoizes covers per clause family, so re-expanding a parent
+    # (or a parent with the same family) enumerates nothing again
+    families = []
+    covers_for_expansion = duality._covers_for_expansion
+
+    def counted(duals):
+        families.append(frozenset(duals))
+        return covers_for_expansion(duals)
+
+    monkeypatch.setattr(duality, "_covers_for_expansion", counted)
+    argv = [
+        "explain", "--data", str(GOLDEN / "rule12_data.csv"),
+        "--model", str(GOLDEN / "rule12_model.txt"), "--instance", "0",
+        "--algo", "gen-cf", "--seed", "3", "--max-iterations", "40", "--format", "json",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "explain_rule12_gen-cf.json").read_text()
+    assert len(families) == len(set(families)) == 25
 
 
 def test_synthetic_report_matches_golden(tmp_path, capsys):

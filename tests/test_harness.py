@@ -260,6 +260,13 @@ class TestCategorizeReal:
         cat = categorize_real(self.anchored, self.anchor, self.model, data, s=400, seed=0)
         assert cat is RealCategory.GC_MINIMAL
 
+    def test_rule_not_anchored_at_x_rejected(self):
+        # the audit checks the rule's anchored slots through the oracle, so
+        # a rule with bounds off the anchor is refused before any grading
+        data = box_dataset(self.schema, self.truth, 40, seed=1)
+        with pytest.raises(SchemaError, match="not anchored"):
+            categorize_real(self.truth, self.anchor, self.model, data, s=100, seed=0)
+
     def test_gc_not_minimal(self):
         # good outcomes only at (0,0,0) and (4,4,0); the pair
         # {F0<=2, F1>=2} excludes one corner each (irredundant), but the

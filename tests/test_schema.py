@@ -302,6 +302,35 @@ def test_dataset_validation_matches_per_row_reference():
     assert planted_runs > 80
 
 
+@pytest.mark.parametrize("rows, message", [
+    (((0.0, 1.0, 2.0), (1.0, "x", 2.0)), "not a numeric value: 'x'"),
+    (((0.0, None, 2.0),), "not a numeric value: None"),
+    (((0.0, 1.0, 2.0), (1.0, 2.0, "nan")), "value must be finite, got 'nan'"),
+    (((0.0, 1.0, "inf"),), "value must be finite, got 'inf'"),
+    (((0.0, 1.0, 2.0), (1.0, 2.0)), "instance has 2 values, schema expects 3"),
+    (((0.0, 1.0, 2.0), (1.0, 2.0, 7.0)), "value 7.0 of feature 'f2' is not in its domain"),
+    # a non-finite cell raises before a later one that float() cannot take
+    (((float("nan"), 10 ** 400, 0.0),), "value must be finite, got nan"),
+    # every cell converts before any width is checked
+    (((0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, "y", 2.0)),
+     "not a numeric value: 'y'"),
+])
+def test_dataset_errors_keep_their_precedence(rows, message):
+    with pytest.raises(SchemaError) as info:
+        Dataset(small_schema((4, 4, 4)), rows)
+    assert str(info.value) == message
+
+
+def test_dataset_keeps_float_cells_and_survives_an_overflowing_sum():
+    schema = make_schema([[1e308], [1e308]])
+    row = (1e308, 1e308)
+    data = Dataset(schema, (row,))
+    assert data.instances[0][0] is row[0]
+    assert data.matrix.tolist() == [[1e308, 1e308]]
+    ints = Dataset(small_schema((2, 2)), ((0, 1),))
+    assert ints.instances == ((0.0, 1.0),) and type(ints.instances[0][1]) is float
+
+
 def test_validate_instance_agrees_with_domain_membership():
     rng = random.Random(8)
     schema = make_schema([[0.5 * v for v in range(k)] for k in (3, 7)])
