@@ -9,7 +9,13 @@ every admissible single-feature perturbation of the anchor, so any classifier
 whose bad region is a single axis-aligned box is still decided exactly.
 
 Returned counterfactuals are redundancy-reduced: no single changed feature
-can be reverted to the anchor value without losing the good outcome.
+can be reverted to the anchor value without losing the good outcome. One
+kernel, :func:`_reduce_all`, reduces for both paths and for
+:func:`reduce_changes`. It walks all candidates of a call in lock step, so
+each round scores every revert the walks wait on in one ``predict_batch``,
+and it memoises each visited point's reduced point for the whole query.
+Each distinct point's :func:`distance` is computed once per query, in
+vectorised form and bit for bit equal.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -77,8 +83,8 @@ class Counterfactual:
     distance: float
 
     @classmethod
-    def of(cls, anchor: Instance, x: tuple, schema: DatasetSchema) -> "Counterfactual":
-        return cls(x, changed_features(anchor, x), distance(anchor, x, schema))
+    def of(cls, anchor: Instance, x: tuple, dist: float) -> "Counterfactual":
+        return cls(x, changed_features(anchor, x), dist)
 
     @property
     def sort_key(self) -> tuple:
@@ -119,23 +125,104 @@ def distance(x: Instance, x_prime: Instance, schema: DatasetSchema) -> float:
     return 0.5 * count / n + 0.5 * shift
 
 
-def _revert_while_good(anchor: Instance, cand: tuple, good: Callable) -> tuple:
-    """Revert changed features to the anchor one at a time while ``good``
-    accepts the reverted instance.
+class _Distances:
+    """:func:`distance` from one anchor, computed once per distinct point.
 
-    Reverts are attempted in ascending feature order and restarted after each
-    success, so the result is deterministic. ``good`` answers False both for
-    a bad outcome and for a revert the caller must skip.
+    A point's terms ``|value - anchor| / span`` are the floats
+    :func:`distance` computes, and ``np.add.accumulate`` adds them strictly
+    left to right, in ascending feature order as :func:`distance` does, so
+    every value matches it bit for bit: an unchanged feature adds an exact
+    ``0.0``. (``np.sum`` adds pairwise and rounds differently.)
     """
-    current = cand
-    while True:
-        for j in sorted(changed_features(anchor, current)):
-            reverted = current[:j] + (anchor[j],) + current[j + 1:]
-            if good(reverted):
-                current = reverted
-                break
-        else:
-            return current
+
+    def __init__(self, schema: DatasetSchema, anchor: tuple):
+        self.anchor = np.asarray(anchor, dtype=np.float64)
+        # a one-value domain never changes, so its span never divides a shift
+        self.spans = np.array([f.span or 1.0 for f in schema.features])
+        self.cache: dict = {}
+
+    def of_matrix(self, points: np.ndarray) -> np.ndarray:
+        """The distance of each row of a (rows, n) matrix of domain values."""
+        shift = np.add.accumulate(np.abs(points - self.anchor) / self.spans, axis=1)[:, -1]
+        count = np.count_nonzero(points != self.anchor, axis=1)
+        return 0.5 * count / len(self.spans) + 0.5 * shift
+
+    def fill(self, points: list) -> None:
+        """Enter each of the distinct ``points`` not yet cached into ``cache``."""
+        missing = [p for p in points if p not in self.cache]
+        if missing:
+            dists = self.of_matrix(np.asarray(missing, dtype=np.float64))
+            self.cache.update(zip(missing, dists.tolist()))
+
+    def sort(self, points: np.ndarray) -> list:
+        """The rows of ``points`` as tuples ordered by ``(distance, instance)``,
+        with their distances cached."""
+        dists = self.of_matrix(points)
+        # the last key is the primary one; tuples compare feature 0 first
+        order = np.lexsort([points[:, j] for j in reversed(range(points.shape[1]))] + [dists])
+        ordered = list(map(tuple, points[order].tolist()))
+        self.cache.update(zip(ordered, dists[order].tolist()))
+        return ordered
+
+
+def _reduce_all(
+    anchor: tuple,
+    cands: list,
+    frozen: Collection[int],
+    good: dict,
+    score: Callable[[list], None],
+    memo: dict,
+) -> list:
+    """The redundancy-reduced point of each good point of ``cands``.
+
+    A point's walk reverts its changed features to the anchor one at a time,
+    trying them in ascending order and restarting after each revert that
+    keeps the outcome good, until no revert does. A revert of a feature in
+    ``frozen`` is never accepted and never scored.
+
+    ``good`` maps each scored point to whether its outcome is good. All walks
+    advance in lock step: a walk goes on through scored points and stops at
+    the first revert that has no score, and the round ends with one call
+    ``score(points)`` for every revert the walks stop at, which must enter
+    those points into ``good``. The walk from a point depends only on that
+    point, so ``memo`` maps each point a walk passed to its reduced point,
+    and a walk that reaches a memoised point stops there.
+    """
+    walks = [
+        [c, [j for j, (a, v) in enumerate(zip(anchor, c)) if a != v and j not in frozen], 0, []]
+        for c in dict.fromkeys(cands) if c not in memo
+    ]
+    while walks:
+        waiting: list = []
+        pending: dict = {}
+        for walk in walks:
+            current, features, pos, path = walk
+            while current not in memo and pos < len(features):
+                j = features[pos]
+                reverted = current[:j] + (anchor[j],) + current[j + 1:]
+                verdict = good.get(reverted)
+                if verdict is None:
+                    pending[reverted] = None
+                    break
+                if verdict:
+                    path.append(current)
+                    current = reverted
+                    del features[pos]
+                    pos = 0
+                else:
+                    pos += 1
+            else:
+                reduced = memo.get(current, current)
+                memo[current] = reduced
+                for state in path:
+                    memo[state] = reduced
+                continue
+            walk[0], walk[2] = current, pos
+            waiting.append(walk)
+        if pending:
+            score(list(pending))
+        walks = waiting
+    return [memo[c] for c in cands]
 
 
 def reduce_changes(
@@ -152,9 +239,15 @@ def reduce_changes(
     anchor = tuple(float(v) for v in anchor)
     if is_bad_score(model.predict(cand)):
         raise ValueError("candidate must have a good outcome before reduction")
-    return _revert_while_good(
-        anchor, cand, lambda x: rule.evaluate(x) and not is_bad_score(model.predict(x))
-    )
+    good = {cand: True}
+
+    def score(points: list) -> None:
+        inside = [p for p in points if rule.evaluate(p)]
+        good.update(dict.fromkeys(points, False))
+        if inside:
+            good.update(zip(inside, good_mask(model.predict_batch(np.asarray(inside))).tolist()))
+
+    return _reduce_all(anchor, [cand], (), good, score, {})[0]
 
 
 def _ranked(found: dict, k: int) -> CfResult:
@@ -180,59 +273,62 @@ class CounterfactualEngine:
         size = math.prod(len(r) for r in box)
         if size == 0:
             return NOT_FOUND
+        anchor = query.anchor
+        anchor_pos = [int(np.searchsorted(v, a)) for v, a in zip(schema.domain_arrays, anchor)]
+        # every walk stays in the box, so reverting feature j leaves the box
+        # iff the anchor's own value lies outside box[j]
+        outside = {j for j, r in enumerate(box) if anchor_pos[j] not in r}
         if size <= query.budget.exhaustive_cap:
-            return self._exhaustive(model, schema, query, box)
-        return self._genetic(model, schema, query, box)
+            return self._exhaustive(model, schema, query, box, outside)
+        return self._genetic(model, schema, query, box, anchor_pos, outside)
 
     # -- exhaustive path ----------------------------------------------------
 
-    def _exhaustive(self, model, schema, query, box) -> CfResult:
+    def _exhaustive(self, model, schema, query, box, outside) -> CfResult:
         self.exhaustive_runs += 1
         anchor = query.anchor
-        goods: list = []
-        for points in schema.box_points(box, 4096):
-            goods.extend(map(tuple, points[good_mask(model.predict_batch(points))].tolist()))
-        # a revert is accepted iff it lands on a good point of the box
-        good_set = set(goods)
-        goods.sort(key=lambda inst: (distance(anchor, inst, schema), inst))
+        points = np.concatenate([
+            chunk[good_mask(model.predict_batch(chunk))]
+            for chunk in schema.box_points(box, 4096)
+        ])
+        dists = _Distances(schema, anchor)
+        goods = dists.sort(points)
 
+        # a revert that stays in the box is good iff it lands on a good point
+        good = dict.fromkeys(goods, True)
+
+        def mark_bad(reverted: list) -> None:
+            good.update(dict.fromkeys(reverted, False))
+
+        # reduce the goods in distance order until k distinct counterfactuals
+        # are found; a batch of k - len(found) cannot overshoot
         found: dict = {}
-        for inst in goods:
-            reduced = _revert_while_good(anchor, inst, good_set.__contains__)
-            if reduced not in found:
-                found[reduced] = Counterfactual.of(anchor, reduced, schema)
-            if len(found) >= query.k:
-                break
+        memo: dict = {}
+        done = 0
+        while done < len(goods) and len(found) < query.k:
+            batch = goods[done:done + query.k - len(found)]
+            done += len(batch)
+            for reduced in _reduce_all(anchor, batch, outside, good, mark_bad, memo):
+                if reduced not in found:
+                    found[reduced] = Counterfactual.of(anchor, reduced, dists.cache[reduced])
         return _ranked(found, query.k)
 
     # -- genetic path -------------------------------------------------------
 
-    def _genetic(self, model, schema, query, box) -> CfResult:
+    def _genetic(self, model, schema, query, box, anchor_pos, outside) -> CfResult:
         anchor = query.anchor
         rng = random.Random(query.seed)
         domains = [schema.domain(j) for j in range(schema.n)]
         scores: dict = {}
+        good: dict = {}
 
         def evaluate(cands: Iterable[tuple]) -> None:
             fresh = [c for c in dict.fromkeys(cands) if c not in scores]
             if not fresh:
                 return
             batch = model.predict_batch(np.asarray(fresh, dtype=np.float64))
-            for inst, sc in zip(fresh, batch):
-                scores[inst] = float(sc)
-
-        anchor_pos = [int(np.searchsorted(v, a)) for v, a in zip(schema.domain_arrays, anchor)]
-        # every candidate lies in the box, so reverting feature j leaves the
-        # box iff the anchor's own value lies outside box[j]
-        outside = [j for j, r in enumerate(box) if anchor_pos[j] not in r]
-
-        def good(inst: tuple) -> bool:
-            for j in outside:
-                if inst[j] == anchor[j]:
-                    return False
-            if inst not in scores:
-                evaluate([inst])
-            return not is_bad_score(scores[inst])
+            scores.update(zip(fresh, batch.tolist()))
+            good.update(zip(fresh, good_mask(batch).tolist()))
 
         def replaced(inst: tuple, j: int, p: int) -> tuple:
             """``inst`` with feature ``j`` set to the ``p``-th value of its
@@ -263,28 +359,25 @@ class CounterfactualEngine:
         evaluate(seeds)
 
         goods: dict = {}
+        memo: dict = {}
+        dists = _Distances(schema, anchor)
+        changed: dict = {}  # each crossover donor's changed features, ascending
 
         def absorb(cands: Iterable[tuple]) -> int:
-            new = 0
-            for inst in cands:
-                if is_bad_score(scores[inst]):
-                    continue
-                reduced = _revert_while_good(anchor, inst, good)
-                if reduced not in goods:
-                    goods[reduced] = Counterfactual.of(anchor, reduced, schema)
-                    new += 1
-            return new
+            starts = [c for c in cands if good[c]]
+            reduced = _reduce_all(anchor, starts, outside, good, evaluate, memo)
+            new = [r for r in dict.fromkeys(reduced) if r not in goods]
+            dists.fill(new)
+            for r in new:
+                goods[r] = Counterfactual.of(anchor, r, dists.cache[r])
+            return len(new)
 
         def select(cands: Iterable[tuple]) -> list:
             uniq = list(dict.fromkeys(cands))
-            good_part = sorted(
-                (i for i in uniq if not is_bad_score(scores[i])),
-                key=lambda i: (distance(anchor, i, schema), i),
-            )
-            bad_part = sorted(
-                (i for i in uniq if is_bad_score(scores[i])),
-                key=lambda i: (-scores[i], i),
-            )
+            good_part = [i for i in uniq if good[i]]
+            dists.fill(good_part)
+            good_part.sort(key=lambda i: (dists.cache[i], i))
+            bad_part = sorted((i for i in uniq if not good[i]), key=lambda i: (-scores[i], i))
             return (good_part + bad_part)[:POPULATION_SIZE]
 
         absorb(seeds)
@@ -301,8 +394,10 @@ class CounterfactualEngine:
             for _ in range(POPULATION_SIZE):
                 if len(pop) >= 2 and rng.random() < 0.3:
                     a, b = rng.sample(pop, 2)
+                    if b not in changed:
+                        changed[b] = [j for j, (u, v) in enumerate(zip(anchor, b)) if u != v]
                     child = list(a)
-                    for j in sorted(changed_features(anchor, b)):
+                    for j in changed[b]:
                         if a[j] == anchor[j] or rng.random() < 0.5:
                             child[j] = b[j]
                     offspring.append(tuple(child))

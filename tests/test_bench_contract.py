@@ -3,9 +3,10 @@
 ``bench/tracing.py`` rebinds module-level names of ``rulecf`` and wraps the
 oracle, the engine and the classifier methods. The untraced benchmark never
 looks these names up, so a rename would break only
-``bench/run.py --trace 1``; these tests run the same wiring on a tiny net.
+``bench/run.py --trace 1``; these tests run the same wiring on two small nets.
 """
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -60,24 +61,59 @@ def tiny_net_problem():
             return model, anchor, uniform_dataset(grid, 30)
 
 
+def grid_net_problem(seed):
+    """A seeded ReLU net on an 8^7 grid, too large to enumerate, with a bad
+    anchor drawn from the grid."""
+    rng = random.Random(seed)
+    grid = small_schema((8,) * 7)
+    model = random_net(grid, rng, hidden=8)
+    while True:
+        anchor = tuple(float(rng.randrange(8)) for _ in range(7))
+        if model.predict(anchor) <= 0.5:
+            return model, anchor, uniform_dataset(grid, 200)
+
+
+def batch_bound(count, n, budget):
+    """The most ``predict_batch`` and ``predict`` calls a traced greedy-cf
+    run may make: the anchor check, the database batch and one batch per
+    sampled rule outside the engine; inside it, per query, the anchor's
+    check plus one batch per 4096 points of an enumerated box, or for a
+    genetic query ``2 + (generations + 1) * (1 + n(n+1)/2)``: seeds, one batch
+    per generation and at most n(n+1)/2 lock-step revert rounds per
+    reduction."""
+    rounds = n * (n + 1) // 2
+    genetic = count["cf_genetic_queries"]
+    return (
+        2 + count["sample"] + count["cf_queries"]
+        + count["cf_exhaustive_queries"] * math.ceil(budget.exhaustive_cap / 4096)
+        + 2 * genetic + (count["cf_generations"] + genetic) * (1 + rounds)
+    )
+
+
 def test_traced_rows_equal_classifier_calls():
-    model, anchor, data = tiny_net_problem()
-    params = SearchParams()
-    tracer = tracing.Tracer()
-    restore = tracing.install(tracer)
-    try:
-        tracing.instrument_model(tracer, model)
-        tracer.reset()
-        oracle = tracing.oracle_for(tracer, model, data, params)
-        result = greedy_rule_cf(anchor, model, data, params, oracle=oracle)
-    finally:
-        restore()
-    # the check bench/run.py --trace 1 makes on every traced run
-    assert tracer.count["rows"] == result.stats.classifier_calls > 0
-    assert tracer.count["cf_queries"] == result.stats.cf_calls > 0
-    assert tracer.count["cf_rules"] > 0
-    assert tracer.count["covers"] > 0
-    # the traced oracle tests hits with the key the search looks up: a key
-    # type the cache does not hold would read 0 hits without any error
-    assert tracer.count["oracle_hits"] > 0
-    assert tracer.count["oracle_lookups"] - tracer.count["oracle_hits"] == result.stats.cf_calls
+    # every box of the 4x4x4 grid is enumerated; the grid net's are not
+    for model, anchor, data in (tiny_net_problem(), grid_net_problem(6)):
+        params = SearchParams()
+        tracer = tracing.Tracer()
+        restore = tracing.install(tracer)
+        try:
+            tracing.instrument_model(tracer, model)
+            tracer.reset()
+            oracle = tracing.oracle_for(tracer, model, data, params)
+            result = greedy_rule_cf(anchor, model, data, params, oracle=oracle)
+        finally:
+            restore()
+        # the check bench/run.py --trace 1 makes on every traced run
+        assert tracer.count["rows"] == result.stats.classifier_calls > 0
+        assert tracer.count["cf_queries"] == result.stats.cf_calls > 0
+        assert tracer.count["cf_rules"] > 0
+        assert tracer.count["covers"] > 0
+        # the traced oracle tests hits with the key the search looks up: a key
+        # type the cache does not hold would read 0 hits without any error
+        assert tracer.count["oracle_hits"] > 0
+        assert tracer.count["oracle_lookups"] - tracer.count["oracle_hits"] == result.stats.cf_calls
+        # scoring each revert in a batch of its own breaks the bound: 11,448
+        # batches against 7,622 on the grid net
+        bound = batch_bound(tracer.count, data.schema.n, params.cf_budget)
+        assert tracer.count["batches"] <= bound
+    assert tracer.count["cf_genetic_queries"] > 0
