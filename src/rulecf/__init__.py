@@ -31,7 +31,6 @@ from .consistency import (
     ConsistencyLevel,
     Level,
     brute_force_global_consistent,
-    consistency_level,
 )
 from .dataio import IngestError, export_csv, format_rule, ingest_csv, load_rule_file
 from .duality import (
@@ -45,6 +44,7 @@ from .explainers import (
     ExplanationResult,
     ScoredRule,
     SearchParams,
+    consistency_level,
     crossover,
     fitness,
     genetic_rule,

@@ -27,7 +27,7 @@ from typing import Callable, Collection, Iterable
 
 import numpy as np
 
-from .classifiers import Classifier, good_mask, is_bad_score
+from .classifiers import Classifier, good_mask, good_points, is_bad_score
 from .schema import EMPTY_RULE, Dataset, DatasetSchema, Instance, Rule, SchemaError
 
 
@@ -287,10 +287,7 @@ class CounterfactualEngine:
     def _exhaustive(self, model, schema, query, box, outside) -> CfResult:
         self.exhaustive_runs += 1
         anchor = query.anchor
-        points = np.concatenate([
-            chunk[good_mask(model.predict_batch(chunk))]
-            for chunk in schema.box_points(box, 4096)
-        ])
+        points = np.concatenate(list(good_points(model, schema, box)))
         dists = _Distances(schema, anchor)
         goods = dists.sort(points)
 

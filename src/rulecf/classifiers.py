@@ -13,11 +13,11 @@ import abc
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .schema import Instance, Rule, SchemaError
+from .schema import DatasetSchema, Instance, Rule, SchemaError
 
 BAD_THRESHOLD = 0.5
 
@@ -30,6 +30,17 @@ def is_bad_score(score: float) -> bool:
 def good_mask(scores) -> np.ndarray:
     """Vectorised good-outcome test: True where a score exceeds the threshold."""
     return np.asarray(scores) > BAD_THRESHOLD
+
+
+GOOD_CHUNK = 4096
+
+
+def good_points(model: Classifier, schema: DatasetSchema, box: Sequence[range]) -> Iterator:
+    """The good points of ``box``: per chunk of ``GOOD_CHUNK`` points of
+    ``schema.box_points``, one ``predict_batch`` and the (possibly empty)
+    matrix of the chunk's good points, in enumeration order."""
+    for points in schema.box_points(box, GOOD_CHUNK):
+        yield points[good_mask(model.predict_batch(points))]
 
 
 class ModelFormatError(ValueError):

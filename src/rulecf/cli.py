@@ -15,15 +15,10 @@ import sys
 import time
 
 from .classifiers import ModelFormatError, load_model
-from .consistency import (
-    BruteForceOutcome,
-    brute_force_global_consistent,
-    consistency_level,
-    violations_in_data,
-)
+from .consistency import BruteForceOutcome, brute_force_global_consistent, violations_in_data
 from .dataio import IngestError, format_component, format_rule, ingest_csv, load_rule_file
 from .duality import CounterfactualOracle
-from .explainers import SearchParams
+from .explainers import SearchParams, consistency_level
 from .harness import ALGORITHMS, default_experiment_schema, run_experiment_suite
 from .schema import SchemaError, SlotCodec, make_schema
 

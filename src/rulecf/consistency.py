@@ -1,16 +1,17 @@
 """Consistency checks: over the database, over samples drawn from a rule's
-box, and via exact enumeration of the box for test-scale spaces."""
+box, and via exact enumeration of the box for test-scale spaces. The grader
+that combines the first two is ``explainers.consistency_level``."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .classifiers import Classifier, good_mask
-from .duality import derive_seed, _rule_digest
-from .schema import Dataset, DatasetSchema, Rule, SchemaError
+from .classifiers import Classifier, good_mask, good_points
+from .schema import Dataset, DatasetSchema, Rule, RuleComponent, SchemaError
 
 
 class Level(enum.IntEnum):
@@ -48,10 +49,11 @@ class ConsistencyLevel:
 
 
 def sample_satisfying(
-    schema: DatasetSchema, rule: Rule, s: int, rng: np.random.Generator
+    schema: DatasetSchema, components: Iterable[RuleComponent], s: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``s`` instances of the rule's satisfying set, uniform per feature."""
-    box = schema.box(rule)
+    """Draw ``s`` instances of a rule's satisfying set, uniform per feature;
+    ``components`` is a ``Rule`` or any iterable of its components."""
+    box = schema.box(components)
     if any(not r for r in box):
         raise SchemaError("rule admits no instance; nothing to sample")
     cols = [
@@ -70,30 +72,6 @@ def violations_in_data(rule: Rule, data: Dataset, model: Classifier) -> int:
         return 0
     scores = model.predict_batch(data.matrix[mask])
     return int(np.count_nonzero(good_mask(scores)))
-
-
-def consistency_level(
-    rule: Rule,
-    data: Dataset,
-    model: Classifier,
-    s: int = 1000,
-    seed: int = 0,
-) -> ConsistencyLevel:
-    """Grade a rule: database violations first, then ``s`` sampled instances.
-
-    Sampling is seeded per rule (mixing ``seed`` with the rule itself), so the
-    grade does not depend on how many other rules were checked first.
-    """
-    if s < 1:
-        raise ValueError("sample count must be at least 1")
-    vd = violations_in_data(rule, data, model)
-    if vd > 0:
-        return ConsistencyLevel.from_counts(vd, 0)
-    rng = np.random.default_rng(derive_seed(seed, "vs", _rule_digest(rule)))
-    samples = sample_satisfying(data.schema, rule, s, rng)
-    scores = model.predict_batch(samples)
-    vs = int(np.count_nonzero(good_mask(scores)))
-    return ConsistencyLevel.from_counts(0, vs)
 
 
 class BruteForceOutcome(enum.Enum):
@@ -117,7 +95,6 @@ def brute_force_global_consistent(
         size *= len(r)
         if size > cap:
             return BruteForceOutcome.TOO_LARGE
-    for points in schema.box_points(box, 8192):
-        if good_mask(model.predict_batch(points)).any():
-            return BruteForceOutcome.INCONSISTENT
+    if any(len(goods) for goods in good_points(model, schema, box)):
+        return BruteForceOutcome.INCONSISTENT
     return BruteForceOutcome.CONSISTENT

@@ -21,7 +21,7 @@ from .classifiers import Classifier
 from .schema import (
     Dataset,
     Instance,
-    Rule,
+    RuleComponent,
     SchemaError,
     SlotCodec,
     mask_bits,
@@ -99,8 +99,10 @@ class CfOutcome:
     duals: tuple = ()
 
 
-def _rule_digest(rule: Rule) -> int:
-    text = ";".join(f"{c.feature}{c.direction.value}{c.bound!r}" for c in rule.components)
+def _rule_digest(components: Iterable[RuleComponent]) -> int:
+    """A stable hash of a rule's components, given in canonical order (a
+    ``Rule`` or any iterable of its components)."""
+    text = ";".join(f"{c.feature}{c.direction.value}{c.bound!r}" for c in components)
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 

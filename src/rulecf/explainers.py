@@ -19,7 +19,7 @@ import numpy as np
 
 from .cf_engine import CfBudget, GoodAnchorError
 from .classifiers import Classifier, good_mask
-from .consistency import ConsistencyLevel, Level, sample_satisfying
+from .consistency import ConsistencyLevel, Level, sample_satisfying, violations_in_data
 from .duality import CounterfactualOracle, _rule_digest, cf_rules, derive_seed
 from .schema import (
     Dataset,
@@ -194,14 +194,8 @@ class _Scorer:
         if level is None:
             slots = mask_slots(mask)
             vd = rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
-            if vd:
-                level = ConsistencyLevel.from_counts(vd, 0)
-            else:
-                rule = self.codec.rule(mask)
-                rng = np.random.default_rng(derive_seed(self.seed, "vs", _rule_digest(rule)))
-                samples = sample_satisfying(self.schema, rule, self.s, rng)
-                vs = int(np.count_nonzero(good_mask(self.model.predict_batch(samples))))
-                level = ConsistencyLevel.from_counts(0, vs)
+            components = [self.codec.components[slot] for slot in slots]
+            level = _graded(vd, components, self.model, self.schema, self.s, self.seed)
             score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
             self._levels[mask] = level
             # rank_key's order on masks: slots ascend like sorted components
@@ -218,11 +212,39 @@ class _Scorer:
 
     def score(self, mask: int, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
         level = self.level(mask)
-        return ScoredRule(
-            self.codec.rule(mask), level,
-            fitness(mask.bit_count(), self.schema.n, level, self.data.m, self.s),
-            _cf_verified(oracle, mask, level),
-        )
+        score = -self._keys[mask][1]  # the rank key holds the negated fitness
+        return ScoredRule(self.codec.rule(mask), level, score, _cf_verified(oracle, mask, level))
+
+
+def consistency_level(
+    rule: Rule, data: Dataset, model: Classifier, s: int = 1000, seed: int = 0
+) -> ConsistencyLevel:
+    """Grade a rule: database violations first, then ``s`` sampled instances.
+
+    Sampling is seeded per rule (mixing ``seed`` with the rule itself), so the
+    grade does not depend on how many other rules were checked first. The
+    searches grade their candidate masks the same way (``_Scorer.level``).
+    """
+    if s < 1:
+        raise ValueError("sample count must be at least 1")
+    return _graded(violations_in_data(rule, data, model), rule, model, data.schema, s, seed)
+
+
+def _graded(vd, components, model, schema, s, seed) -> ConsistencyLevel:
+    """The grade of a rule with ``vd`` database violations: FDC if it has
+    any, else by the good outcomes among ``s`` instances drawn from the box of
+    ``components`` (a ``Rule`` or its components in canonical order), seeded
+    by ``seed`` and the components. An empty box holds no instance: it grades
+    GC, with nothing drawn and no classifier call."""
+    if vd:
+        return ConsistencyLevel.from_counts(vd, 0)
+    if not all(schema.box(components)):
+        return ConsistencyLevel(Level.GC)
+    rng = np.random.default_rng(derive_seed(seed, "vs", _rule_digest(components)))
+    # a module-level name here: bench/tracing.py counts sampled rules by rebinding it
+    samples = sample_satisfying(schema, components, s, rng)
+    vs = int(np.count_nonzero(good_mask(model.predict_batch(samples))))
+    return ConsistencyLevel.from_counts(0, vs)
 
 
 def _cf_verified(oracle: Optional[CounterfactualOracle], mask: int, level) -> bool:
@@ -280,9 +302,8 @@ def _run_genetic(
     rng_cross = random.Random(derive_seed(params.seed, "crossover"))
     rng_mut = random.Random(derive_seed(params.seed, "mutate"))
 
-    # the search holds rules as slot masks; Rules are built only to sample a
-    # box, for an oracle query the cache cannot answer and for the returned
-    # top rules
+    # the search holds rules as slot masks; Rules are built only for an
+    # oracle query the cache cannot answer and for the returned top rules
     with timer.phase("prep"):
         scorer = _Scorer(model, data, params.s, params.seed, x)
         codec = scorer.codec

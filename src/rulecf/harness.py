@@ -12,12 +12,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, RuleClassifier, good_mask
-from .consistency import Level, consistency_level, sample_satisfying
+from .classifiers import Classifier, RuleClassifier, good_points
+from .consistency import Level, sample_satisfying
 from .duality import CounterfactualOracle, derive_seed
 from .explainers import (
     ExplanationResult,
     SearchParams,
+    consistency_level,
     genetic_rule,
     genetic_rule_cf,
     greedy_rule_cf,
@@ -189,10 +190,7 @@ def minimal_rule_search(
     cap = min(cap, len(slots))
 
     if schema.space_size() <= space_cap:
-        good = np.concatenate([
-            points[good_mask(model.predict_batch(points))]
-            for points in schema.box_points(schema.box(EMPTY_RULE), 8192)
-        ])
+        good = np.concatenate(list(good_points(model, schema, schema.box(EMPTY_RULE))))
         slot_rows, all_good = codec.row_bits(good)
 
         def consistent(mask: int) -> bool:
@@ -227,8 +225,6 @@ def categorize_real(
     s: int = 1000,
     seed: int = 0,
     oracle: Optional[CounterfactualOracle] = None,
-    minimal_cap: int = 6,
-    space_cap: int = 1_000_000,
 ) -> RealCategory:
     """Five-way audit of a returned rule when no ground truth is known.
 
@@ -245,9 +241,7 @@ def categorize_real(
     for bit in mask_bits(mask):
         if oracle.consistent(mask & ~bit, x):
             return RealCategory.GC_REDUNDANT
-    found = minimal_rule_search(
-        x, model, data, cap=minimal_cap, space_cap=space_cap, oracle=oracle
-    )
+    found = minimal_rule_search(x, model, data, oracle=oracle)
     if found.cardinality is not None and found.cardinality < returned.cardinality:
         return RealCategory.GC_NOT_MINIMAL
     return RealCategory.GC_MINIMAL

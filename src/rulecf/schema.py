@@ -10,6 +10,7 @@ box goes through it.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import threading
@@ -233,24 +234,25 @@ class DatasetSchema:
         """Each feature's domain as an ascending float64 array."""
         return tuple(np.asarray(f.domain, dtype=np.float64) for f in self.features)
 
-    def box(self, rule: Rule) -> tuple:
-        """Per feature, the ``range`` of domain indices the rule's bounds admit.
+    def box(self, components: Iterable[RuleComponent]) -> tuple:
+        """Per feature, the ``range`` of domain indices the bounds of
+        ``components`` (a ``Rule`` or any iterable of its components) admit.
 
         Domains ascend strictly and every bound is an inclusive ``<=`` or
         ``>=``, so the admitted values of a feature are one contiguous run.
         """
         lo = [0] * self.n
         hi = [len(f.domain) for f in self.features]
-        for c in rule.components:
+        for c in components:
             if c.feature >= self.n:
                 raise SchemaError(
                     f"rule references feature {c.feature}, schema has {self.n} features"
                 )
-            values = self.domain_arrays[c.feature]
+            domain = self.features[c.feature].domain
             if c.direction is Direction.LEQ:
-                hi[c.feature] = int(np.searchsorted(values, c.bound, side="right"))
+                hi[c.feature] = bisect.bisect_right(domain, c.bound)
             else:
-                lo[c.feature] = int(np.searchsorted(values, c.bound, side="left"))
+                lo[c.feature] = bisect.bisect_left(domain, c.bound)
         return tuple(range(a, b) for a, b in zip(lo, hi))
 
     def box_points(self, box: Sequence[range], chunk: int) -> Iterator[np.ndarray]:

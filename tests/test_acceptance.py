@@ -65,6 +65,7 @@ MASTER_SEED = 2024
 
 # -- criterion 1: synthetic recovery by the counterfactual-guided algorithms --
 
+@pytest.mark.slow
 def test_criterion_1_synthetic_recovery():
     schema = default_experiment_schema(12)
     params = SearchParams(seed=0)
@@ -95,6 +96,7 @@ def test_criterion_1_synthetic_recovery():
 
 # -- criterion 2: baseline degradation at high cardinality --------------------
 
+@pytest.mark.slow
 def test_criterion_2_genetic_rule_degradation():
     schema = default_experiment_schema(12)
     params = SearchParams(seed=0)

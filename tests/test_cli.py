@@ -156,6 +156,23 @@ class TestVerify:
         assert code == 0
         assert "outcome=consistent" in out
 
+    @pytest.mark.parametrize("mode, expected", [
+        ("data", "vd=0 data_consistent=true"),
+        ("sample", "level=GC vd=0 vs=0"),
+        ("brute", "outcome=consistent restricted_space=0"),
+    ])
+    def test_empty_box_is_consistent_in_every_mode(self, workdir, capsys, mode, expected):
+        rule_path = workdir / "rule.txt"
+        rule_path.write_text("age >= 60\nage <= 40\n")  # admits no instance
+        code, out, _ = run(
+            ["verify", "--data", str(workdir / "data.csv"),
+             "--model", str(workdir / "model.txt"),
+             "--rule", str(rule_path), "--mode", mode],
+            capsys,
+        )
+        assert code == 0
+        assert out.strip() == expected
+
     def test_missing_model_file(self, workdir, capsys):
         rule_path = workdir / "rule.txt"
         rule_path.write_text("age >= 50\n")

@@ -11,6 +11,7 @@ from rulecf import (
     Level,
     Rule,
     RuleClassifier,
+    SchemaError,
     brute_force_global_consistent,
     consistency_level,
     geq,
@@ -18,6 +19,7 @@ from rulecf import (
     make_schema,
     trivial_rule,
 )
+from rulecf.classifiers import GOOD_CHUNK
 from rulecf.consistency import sample_satisfying, violations_in_data
 from rulecf.schema import SlotCodec
 
@@ -111,6 +113,25 @@ class TestConsistencyLevel:
         b = consistency_level(rule, data, self.model, s=300, seed=9)
         assert a == b
 
+    def test_empty_box_grades_gc_without_drawing(self, monkeypatch):
+        import rulecf.explainers as explainers
+
+        def no_draw(*args):
+            raise AssertionError("an empty box has nothing to sample")
+
+        monkeypatch.setattr(explainers, "sample_satisfying", no_draw)
+        data = Dataset(self.schema, ((0.0, 3.0, 0.0),))
+        rule = Rule((geq(0, 3), leq(0, 1)))  # admits no instance
+        calls = self.model.calls
+        level = consistency_level(rule, data, self.model, s=300, seed=9)
+        assert level == ConsistencyLevel(Level.GC)
+        assert self.model.calls == calls
+
+    def test_sampling_an_empty_box_still_raises(self):
+        rule = Rule((geq(0, 3), leq(0, 1)))
+        with pytest.raises(SchemaError, match="admits no instance"):
+            sample_satisfying(self.schema, rule, 10, np.random.default_rng(0))
+
 
 class TestBruteForce:
     def test_ground_truth_consistent_on_enumerable_space(self):
@@ -142,6 +163,18 @@ class TestBruteForce:
         assert brute_force_global_consistent(
             rule, model, schema, cap=10
         ) is BruteForceOutcome.CONSISTENT
+
+    @pytest.mark.parametrize("bound", [0, 3, 4, 9, 28])
+    def test_stops_within_one_chunk_of_the_first_good_point(self, bound):
+        # a 30^3 grid enumerated in product order, good iff F0 > bound: the
+        # first good point has flat index (bound + 1) * 900
+        schema = make_schema([[float(v) for v in range(30)]] * 3)
+        model = RuleClassifier(Rule((leq(0, bound),)), 3)
+        first_good = (bound + 1) * 900
+        assert brute_force_global_consistent(
+            Rule(), model, schema
+        ) is BruteForceOutcome.INCONSISTENT
+        assert first_good < model.calls <= first_good + GOOD_CHUNK
 
     @pytest.mark.parametrize("feature", [0, 3])
     def test_empty_box_is_consistent_whichever_feature_is_empty(self, feature):

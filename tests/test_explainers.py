@@ -28,11 +28,17 @@ from rulecf import (
     trivial_rule,
 )
 from rulecf.classifiers import TreeClassifier, TreeLeaf, TreeNode
-from rulecf.explainers import _Scorer, cfrules_scheduled
+from rulecf.explainers import _Scorer, cfrules_scheduled, consistency_level
 from rulecf.schema import SlotCodec, mask_bits, mask_slots, rows_in_box
 from rulecf.harness import box_dataset
 
-from conftest import find_bad_anchor, random_rule_model, small_schema, uniform_dataset
+from conftest import (
+    all_instances,
+    find_bad_anchor,
+    random_rule_model,
+    small_schema,
+    uniform_dataset,
+)
 
 
 def lvl(name, vd=0, vs=0):
@@ -427,8 +433,6 @@ class TestScorerMatchesConsistencyLevel:
     def test_database_violations_agree_for_any_row_count(self, rows):
         """Bit packing must not drop rows when the good-row count is not a
         multiple of eight."""
-        from rulecf.consistency import consistency_level
-
         schema = small_schema((5, 5, 5))
         model = RuleClassifier(Rule((leq(0, 2), geq(1, 2))), 3)
         data = uniform_dataset(schema, rows, seed=rows)
@@ -440,6 +444,60 @@ class TestScorerMatchesConsistencyLevel:
             expected = consistency_level(rule, data, model, s=200, seed=4)
             got = scorer.level(scorer.codec.mask(rule))
             assert got == expected, (rows, str(rule))
+
+    @staticmethod
+    def random_case(seed):
+        """A seeded rule model on a grid with a one-value feature, a bad
+        anchor (on domain ends for even seeds) and a history of bad rows,
+        plus uniform rows for odd seeds."""
+        rng = random.Random(seed)
+        schema = small_schema((1, 3, 4, 2))
+        points = all_instances(schema)
+        while True:
+            model = random_rule_model(schema, rng, max_components=3)
+            bad = [x for x in points if model.is_bad(x)]
+            if len(bad) == len(points):
+                continue
+            if seed % 2 == 0:
+                bad = [x for x in bad if all(
+                    v in (schema.domain(j)[0], schema.domain(j)[-1]) for j, v in enumerate(x)
+                )]
+            if bad:
+                break
+        rows = [rng.choice(bad) for _ in range(rng.randint(1, 6))]
+        if seed % 2:
+            rows += uniform_dataset(schema, rng.randint(1, 8), seed=seed).instances
+        return model, rng.choice(bad), Dataset(schema, rows)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_anchored_rules_agree(self, seed):
+        model, anchor, data = self.random_case(seed)
+        scorer = _Scorer(model, data, s=100, seed=seed, x=anchor)
+        seen = set()
+        for mask in range(scorer.codec.full + 1):
+            expected = consistency_level(scorer.codec.rule(mask), data, model, s=100, seed=seed)
+            assert scorer.level(mask) == expected, (seed, mask)
+            seen.add(expected.level)
+        # the full mask admits only the bad anchor; with only bad rows in the
+        # history, the empty mask's box holds good points and no violation
+        assert Level.GC in seen
+        if seed % 2 == 0:
+            assert Level.FGC in seen
+
+    def test_grading_every_mask_builds_no_rule(self, monkeypatch):
+        model, anchor, data = self.random_case(0)
+        scorer = _Scorer(model, data, s=100, seed=0, x=anchor)
+        built = []
+        init = Rule.__post_init__
+
+        def counted(rule):
+            built.append(rule)
+            init(rule)
+
+        monkeypatch.setattr(Rule, "__post_init__", counted)
+        levels = {scorer.level(mask).level for mask in range(scorer.codec.full + 1)}
+        assert Level.FGC in levels  # sampled grades ran
+        assert built == []
 
     def test_violating_first_row_is_counted(self):
         # the first rows map to the padded end of the packed bitset; a

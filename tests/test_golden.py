@@ -15,6 +15,11 @@ runs grow rules from the dual clauses of 12-feature anchors (``gen-cf``
 expands parents 160 times over 25 distinct clause families), so these
 outputs pin the clauses, their covers and the rules grown from them.
 
+``verify_rule12_*`` grade ``rule12_verify_rule.txt``, a 9-component rule
+anchored at the rule12 data's first row that leaves ``f11`` free, in every
+``verify`` mode. Its sampled grade is FGC with ``vs > 0``, so the sampled
+draws and their count are pinned.
+
 A change that alters these outputs on purpose re-records the files by running
 the argv below and says why in its change log.
 """
@@ -99,3 +104,15 @@ def test_synthetic_report_matches_golden(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "synthetic_small.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["data", "sample", "brute", "cf"])
+def test_verify_rule12_matches_golden(mode, capsys):
+    argv = [
+        "verify", "--data", str(GOLDEN / "rule12_data.csv"),
+        "--model", str(GOLDEN / "rule12_model.txt"),
+        "--rule", str(GOLDEN / "rule12_verify_rule.txt"),
+        "--mode", mode, "--instance", "0", "--seed", "3",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_rule12_{mode}.txt").read_text()

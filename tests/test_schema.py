@@ -155,6 +155,9 @@ class TestBoxKernel:
 
     def check(self, schema, rule, chunk):
         box = schema.box(rule)
+        # a plain list of the components, in any order, gives the same box
+        assert schema.box(list(rule.components)) == box
+        assert schema.box(list(reversed(rule.components))) == box
         want = reference_box_values(schema, rule)
         assert [schema.domain(j)[r.start:r.stop] for j, r in enumerate(box)] == want
         chunks = list(schema.box_points(box, chunk))
