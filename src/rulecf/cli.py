@@ -179,14 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_search_flags(p):
-        p.add_argument("--q", type=int, default=50, help="population kept per iteration")
-        p.add_argument("--k", type=int, default=5, help="rules returned")
-        p.add_argument("--s", type=int, default=1000, help="consistency samples per rule")
-        p.add_argument("--m", type=int, default=3, help="mutations per candidate")
-        p.add_argument("--c", type=int, default=2, help="crossovers per pair")
-        p.add_argument("--cf-period", type=int, default=3, dest="cf_period")
-        p.add_argument("--max-iterations", type=int, default=200, dest="max_iterations")
-        p.add_argument("--seed", type=int, default=0)
+        d = SearchParams()
+        p.add_argument("--q", type=int, default=d.q, help="population kept per iteration")
+        p.add_argument("--k", type=int, default=d.k, help="rules returned")
+        p.add_argument("--s", type=int, default=d.s, help="consistency samples per rule")
+        p.add_argument("--m", type=int, default=d.m, help="mutations per candidate")
+        p.add_argument("--c", type=int, default=d.c, help="crossovers per pair")
+        p.add_argument("--cf-period", type=int, default=d.cf_period, dest="cf_period")
+        p.add_argument("--max-iterations", type=int, default=d.max_iterations,
+                       dest="max_iterations")
+        p.add_argument("--seed", type=int, default=d.seed)
 
     p_explain = sub.add_parser("explain", help="explain one dataset instance")
     p_explain.add_argument("--data", required=True)

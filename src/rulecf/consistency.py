@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .classifiers import Classifier, good_mask, good_points
-from .schema import Dataset, DatasetSchema, Rule, RuleComponent, SchemaError
+from .schema import Dataset, DatasetSchema, Rule, SchemaError
 
 
 class Level(enum.IntEnum):
@@ -49,12 +49,11 @@ class ConsistencyLevel:
 
 
 def sample_satisfying(
-    schema: DatasetSchema, components: Iterable[RuleComponent], s: int, rng: np.random.Generator
+    schema: DatasetSchema, box: Sequence[range], s: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``s`` instances of a rule's satisfying set, uniform per feature;
-    ``components`` is a ``Rule`` or any iterable of its components."""
-    box = schema.box(components)
-    if any(not r for r in box):
+    """Draw ``s`` instances of a box (``DatasetSchema.box`` ranges of domain
+    indices), uniform per feature."""
+    if not all(box):
         raise SchemaError("rule admits no instance; nothing to sample")
     cols = [
         values[rng.integers(r.start, r.stop, size=s)]

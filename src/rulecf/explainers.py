@@ -33,24 +33,6 @@ from .schema import (
 )
 
 
-class PhaseTimer:
-    """Accumulates wall time per named phase."""
-
-    def __init__(self):
-        self.records: dict = {}
-
-    @contextmanager
-    def phase(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.records[name] = self.records.get(name, 0.0) + time.perf_counter() - t0
-
-    def as_dict(self) -> dict:
-        return dict(self.records)
-
-
 @dataclass(frozen=True)
 class SearchParams:
     """Hyperparameters shared by the explanation algorithms."""
@@ -238,11 +220,12 @@ def _graded(vd, components, model, schema, s, seed) -> ConsistencyLevel:
     GC, with nothing drawn and no classifier call."""
     if vd:
         return ConsistencyLevel.from_counts(vd, 0)
-    if not all(schema.box(components)):
+    box = schema.box(components)
+    if not all(box):
         return ConsistencyLevel(Level.GC)
     rng = np.random.default_rng(derive_seed(seed, "vs", _rule_digest(components)))
     # a module-level name here: bench/tracing.py counts sampled rules by rebinding it
-    samples = sample_satisfying(schema, components, s, rng)
+    samples = sample_satisfying(schema, box, s, rng)
     vs = int(np.count_nonzero(good_mask(model.predict_batch(samples))))
     return ConsistencyLevel.from_counts(0, vs)
 
@@ -257,14 +240,6 @@ def _cf_verified(oracle: Optional[CounterfactualOracle], mask: int, level) -> bo
     return cached is not None and not cached.found
 
 
-def _check_anchor(x: Instance, model: Classifier, data: Dataset) -> tuple:
-    x = tuple(float(v) for v in x)
-    data.schema.validate_instance(x)
-    if not model.is_bad(x):
-        raise GoodAnchorError("cannot explain an instance with the good outcome")
-    return x
-
-
 def cfrules_scheduled(iteration: int, cf_period: int, prev_levels) -> bool:
     """Counterfactual expansion runs on a fixed period (iterations 1,
     1 + period, ...) and additionally whenever the previous iteration's
@@ -275,45 +250,67 @@ def cfrules_scheduled(iteration: int, cf_period: int, prev_levels) -> bool:
     return prev_levels is not None and all(level.vd == 0 for level in prev_levels)
 
 
-def _finish(topk, scorer, oracle, model, calls0, iterations, timer, t0, converged):
-    rules = [scorer.score(mask, oracle) for mask in topk]
-    stats = RunStats(
-        iterations=iterations,
-        classifier_calls=model.calls - calls0,
-        cf_calls=oracle.engine.queries if oracle is not None else 0,
-        wall_time=time.perf_counter() - t0,
-        phase_times=timer.as_dict(),
-    )
-    return ExplanationResult(rules=rules, stats=stats, converged=converged)
+class _Run:
+    """Everything one explanation does around its search: the anchor check,
+    the classifier-call baseline, wall time per named phase, the scorer, the
+    counterfactual oracle (when ``use_cf``; built from ``params`` unless one
+    is handed in) and the assembled result."""
+
+    def __init__(self, x, model, data, params, oracle=None, use_cf=True):
+        self.t0 = time.perf_counter()
+        self.phase_times: dict = {}
+        self.model = model
+        self.calls0 = model.calls
+        self.params = params = params or SearchParams()
+        self.x = x = tuple(float(v) for v in x)
+        data.schema.validate_instance(x)
+        if not model.is_bad(x):
+            raise GoodAnchorError("cannot explain an instance with the good outcome")
+        with self.phase("prep"):
+            self.scorer = _Scorer(model, data, params.s, params.seed, x)
+            if use_cf and oracle is None:
+                oracle = CounterfactualOracle(
+                    model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
+                )
+            self.oracle = oracle
+
+    @contextmanager
+    def phase(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phase_times[name] = self.phase_times.get(name, 0.0) + time.perf_counter() - t0
+
+    def result(self, masks, iterations: int, converged: bool) -> ExplanationResult:
+        rules = [self.scorer.score(mask, self.oracle) for mask in masks]
+        stats = RunStats(
+            iterations=iterations,
+            classifier_calls=self.model.calls - self.calls0,
+            cf_calls=self.oracle.engine.queries if self.oracle is not None else 0,
+            wall_time=time.perf_counter() - self.t0,
+            phase_times=dict(self.phase_times),
+        )
+        return ExplanationResult(rules=rules, stats=stats, converged=converged)
 
 
 def _run_genetic(
     x: Instance,
     model: Classifier,
     data: Dataset,
-    params: SearchParams,
+    params: Optional[SearchParams],
     use_cf: bool,
     oracle: Optional[CounterfactualOracle] = None,
 ) -> ExplanationResult:
-    t0 = time.perf_counter()
-    timer = PhaseTimer()
-    calls0 = model.calls
-    x = _check_anchor(x, model, data)
+    run = _Run(x, model, data, params, oracle, use_cf)
+    x, params, oracle, scorer = run.x, run.params, run.oracle, run.scorer
     rng_cross = random.Random(derive_seed(params.seed, "crossover"))
     rng_mut = random.Random(derive_seed(params.seed, "mutate"))
 
     # the search holds rules as slot masks; Rules are built only for an
     # oracle query the cache cannot answer and for the returned top rules
-    with timer.phase("prep"):
-        scorer = _Scorer(model, data, params.s, params.seed, x)
-        codec = scorer.codec
-        if not use_cf:
-            oracle = None
-        elif oracle is None:
-            oracle = CounterfactualOracle(
-                model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
-            )
-        pop = mask_bits(codec.full)
+    with run.phase("prep"):
+        pop = mask_bits(scorer.codec.full)
         seen = set(pop)
         if use_cf:
             for mask in cf_rules([0], x, oracle):
@@ -327,24 +324,24 @@ def _run_genetic(
     iteration = 0
     while iteration < params.max_iterations:
         iteration += 1
-        with timer.phase("crossover"):
+        with run.phase("crossover"):
             cand = crossover(pop, params.c, rng_cross)
-        with timer.phase("mutate"):
-            cand.extend(mutate(pop, codec.full, params.m, rng_mut))
+        with run.phase("mutate"):
+            cand.extend(mutate(pop, scorer.codec.full, params.m, rng_mut))
         if use_cf and cfrules_scheduled(iteration, params.cf_period, prev_levels):
-            with timer.phase("cfrules"):
+            with run.phase("cfrules"):
                 cand.extend(cf_rules(pop, x, oracle))
         new_rules = set(cand).difference(seen)
         seen.update(new_rules)
 
-        with timer.phase("select"):
+        with run.phase("select"):
             pop = scorer.rank(pop + cand, params.q)
         topk = pop[: params.k]
         prev_levels = [scorer.level(mask) for mask in topk]
 
         consistent_ok = all(level.level is Level.GC for level in prev_levels)
         if consistent_ok and use_cf:
-            with timer.phase("cfrules"):
+            with run.phase("cfrules"):
                 consistent_ok = all(oracle.consistent(mask, x) for mask in topk)
         stable = new_rules.isdisjoint(topk)
         if consistent_ok and stable:
@@ -352,19 +349,19 @@ def _run_genetic(
             break
 
     if use_cf and topk and oracle.consistent(topk[0], x):
-        with timer.phase("reduce"):
+        with run.phase("reduce"):
             reduced = reduce_redundancy(topk[0], x, oracle)
         if reduced != topk[0]:
             topk = ([reduced] + [r for r in topk if r != reduced])[: params.k]
 
-    return _finish(topk, scorer, oracle, model, calls0, iteration, timer, t0, converged)
+    return run.result(topk, iteration, converged)
 
 
 def genetic_rule(
     x: Instance, model: Classifier, data: Dataset, params: Optional[SearchParams] = None
 ) -> ExplanationResult:
     """Genetic search graded by database and sampled consistency only."""
-    return _run_genetic(x, model, data, params or SearchParams(), use_cf=False)
+    return _run_genetic(x, model, data, params, use_cf=False)
 
 
 def genetic_rule_cf(
@@ -375,7 +372,7 @@ def genetic_rule_cf(
     oracle: Optional[CounterfactualOracle] = None,
 ) -> ExplanationResult:
     """Genetic search with counterfactual-driven candidates and verification."""
-    return _run_genetic(x, model, data, params or SearchParams(), use_cf=True, oracle=oracle)
+    return _run_genetic(x, model, data, params, use_cf=True, oracle=oracle)
 
 
 def greedy_rule_cf(
@@ -391,54 +388,36 @@ def greedy_rule_cf(
     cardinality; children are strictly larger than the rule they replace, so
     popped cardinalities never decrease and termination is guaranteed.
     """
-    params = params or SearchParams()
-    t0 = time.perf_counter()
-    timer = PhaseTimer()
-    calls0 = model.calls
-    x = _check_anchor(x, model, data)
+    run = _Run(x, model, data, params, oracle)
+    x, params, oracle = run.x, run.params, run.oracle
+    with run.phase("cfrules"):
+        pop = sorted(set(cf_rules([0], x, oracle)), key=mask_order)
+        final: Optional[int] = 0 if oracle.consistent(0, x) else None
 
-    with timer.phase("prep"):
-        scorer = _Scorer(model, data, params.s, params.seed, x)
-        if oracle is None:
-            oracle = CounterfactualOracle(
-                model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
-            )
-    with timer.phase("cfrules"):
-        cands = cf_rules([0], x, oracle)
-        empty_ok = oracle.consistent(0, x)
-
-    final: Optional[int] = 0 if empty_ok else None
+    # children strictly contain their parent and the head is always a
+    # smallest mask, so no head is popped twice
     iterations = 0
-    if final is None:
-        pop = sorted(set(cands), key=mask_order)
-        expanded = {0}
-        while pop:
-            head = pop[0]
-            with timer.phase("cfrules"):
-                head_ok = oracle.consistent(head, x)
-            if head_ok:
+    while final is None and pop:
+        head = pop.pop(0)
+        with run.phase("cfrules"):
+            if oracle.consistent(head, x):
                 final = head
                 break
-            pop.pop(0)
-            iterations += 1
-            if iterations > params.max_iterations:
-                break
-            if head in expanded:
-                continue
-            expanded.add(head)
-            with timer.phase("cfrules"):
-                children = cf_rules([head], x, oracle)
-            merged = set(pop) | {c for c in children if c not in expanded}
-            pop = sorted(merged, key=mask_order)[: params.q]
+        iterations += 1
+        if iterations > params.max_iterations:
+            break
+        with run.phase("cfrules"):
+            children = cf_rules([head], x, oracle)
+        pop = sorted(set(pop).union(children), key=mask_order)[: params.q]
 
     converged = final is not None
     if final is None:
         # safety fallback: freezing every feature is always verifiable
-        final = scorer.codec.full
-        with timer.phase("cfrules"):
+        final = run.scorer.codec.full
+        with run.phase("cfrules"):
             oracle.consistent(final, x)
 
-    return _finish([final], scorer, oracle, model, calls0, iterations, timer, t0, converged)
+    return run.result([final], iterations, converged)
 
 
 def reduce_redundancy(mask: int, x: Instance, oracle: CounterfactualOracle) -> int:

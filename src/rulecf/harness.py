@@ -6,7 +6,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -58,7 +57,7 @@ def default_experiment_schema(features: int = 12) -> DatasetSchema:
 def synthetic_dataset(schema: DatasetSchema, rows: int, seed: int = 0) -> Dataset:
     """Rows drawn per feature uniformly from the schema domains."""
     rng = np.random.default_rng(derive_seed(seed, "dataset"))
-    matrix = sample_satisfying(schema, EMPTY_RULE, rows, rng)
+    matrix = sample_satisfying(schema, schema.box(EMPTY_RULE), rows, rng)
     return Dataset(schema, tuple(map(tuple, matrix.tolist())))
 
 
@@ -69,7 +68,7 @@ def box_dataset(schema: DatasetSchema, rule: Rule, rows: int, seed: int = 0) -> 
     of past denials, every row satisfies the ground-truth rule.
     """
     rng = np.random.default_rng(derive_seed(seed, "box-dataset"))
-    matrix = sample_satisfying(schema, rule, rows, rng)
+    matrix = sample_satisfying(schema, schema.box(rule), rows, rng)
     return Dataset(schema, tuple(map(tuple, matrix.tolist())))
 
 
@@ -259,11 +258,11 @@ class AlgorithmSummary:
     errors: int = 0
     runtimes: list = field(default_factory=list)
 
-    def record(self, category: SyntheticCategory, result: ExplanationResult, runtime: float):
+    def record(self, category: SyntheticCategory, result: ExplanationResult):
         self.counts[category.value] = self.counts.get(category.value, 0) + 1
         self.classifier_calls += result.stats.classifier_calls
         self.cf_calls += result.stats.cf_calls
-        self.runtimes.append(runtime)
+        self.runtimes.append(result.stats.wall_time)
 
     def percentages(self) -> dict:
         buckets = {cat.value: self.counts.get(cat.value, 0) for cat in SyntheticCategory}
@@ -323,16 +322,14 @@ def run_synthetic_experiment(
     spec: SyntheticSpec,
     algorithms: Sequence[str] = ("gen", "gen-cf", "greedy-cf"),
     params: Optional[SearchParams] = None,
-    data: Optional[Dataset] = None,
     dataset_rows: int = 1000,
 ) -> ExperimentReport:
     """Generate, explain, and categorize ``spec.trials`` classifiers.
 
-    When no dataset is supplied, each trial gets its own history of rows
-    satisfying that trial's ground truth (all scored bad), so the database
-    check carries no spurious signal at desk scale. Per-trial failures are
-    recorded in the report rather than aborting the batch. Fully
-    deterministic for a fixed spec seed.
+    Each trial gets its own history of rows satisfying that trial's ground
+    truth (all scored bad), so the database check carries no spurious signal
+    at desk scale. Per-trial failures are recorded in the report rather than
+    aborting the batch. Fully deterministic for a fixed spec seed.
     """
     params = params or SearchParams()
     for name in algorithms:
@@ -342,7 +339,7 @@ def run_synthetic_experiment(
         components=spec.components,
         trials=spec.trials,
         seed=spec.seed,
-        dataset_rows=data.m if data is not None else dataset_rows,
+        dataset_rows=dataset_rows,
         algorithms={
             name: AlgorithmSummary(algorithm=name, trials=spec.trials)
             for name in algorithms
@@ -351,28 +348,22 @@ def run_synthetic_experiment(
     for trial in range(spec.trials):
         model, anchor = gen_synthetic_classifier(spec, trial)
         truth = model.rule.anchored_to(anchor)
-        if data is None:
-            trial_data = box_dataset(
-                spec.schema, model.rule, dataset_rows,
-                seed=derive_seed(spec.seed, "trial-data", trial),
-            )
-        else:
-            trial_data = data
+        trial_data = box_dataset(
+            spec.schema, model.rule, dataset_rows,
+            seed=derive_seed(spec.seed, "trial-data", trial),
+        )
         for name in algorithms:
             summary = report.algorithms[name]
             run_params = replace(
                 params, seed=derive_seed(spec.seed, "run", trial, name)
             )
-            started = time.perf_counter()
             try:
                 result = ALGORITHMS[name](anchor, model, trial_data, run_params)
             except Exception as exc:  # recorded, batch continues
                 summary.errors += 1
                 report.failures.append(f"trial {trial} {name}: {exc}")
                 continue
-            elapsed = time.perf_counter() - started
-            category = categorize_synthetic(result.top.rule, truth)
-            summary.record(category, result, elapsed)
+            summary.record(categorize_synthetic(result.top.rule, truth), result)
     return report
 
 

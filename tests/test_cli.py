@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rulecf.cli import main
+from rulecf import SearchParams
+from rulecf.cli import _search_params, build_parser, main
 
 CSV = """age,acc,income,debt
 50,4,500,10
@@ -230,3 +231,11 @@ class TestSynthetic:
         _, err = capsys.readouterr()
         assert code == 1
         assert "unknown algorithm" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--data", "d.csv", "--model", "m.txt", "--instance", "0"],
+    ["synthetic"],
+])
+def test_search_flag_defaults_are_search_params_defaults(argv):
+    assert _search_params(build_parser().parse_args(argv)) == SearchParams()

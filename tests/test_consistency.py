@@ -99,7 +99,7 @@ class TestConsistencyLevel:
     def test_sampling_stays_inside_rule_box(self):
         rule = Rule((leq(0, 1), geq(2, 2)))
         rng = np.random.default_rng(7)
-        samples = sample_satisfying(self.schema, rule, 200, rng)
+        samples = sample_satisfying(self.schema, self.schema.box(rule), 200, rng)
         assert samples.shape == (200, 3)
         assert (samples[:, 0] <= 1).all()
         assert (samples[:, 2] >= 2).all()
@@ -130,7 +130,7 @@ class TestConsistencyLevel:
     def test_sampling_an_empty_box_still_raises(self):
         rule = Rule((geq(0, 3), leq(0, 1)))
         with pytest.raises(SchemaError, match="admits no instance"):
-            sample_satisfying(self.schema, rule, 10, np.random.default_rng(0))
+            sample_satisfying(self.schema, self.schema.box(rule), 10, np.random.default_rng(0))
 
 
 class TestBruteForce:

@@ -204,6 +204,9 @@ def two_component_problem(seed=0):
     return schema, model, anchor, data
 
 
+SEARCHES = [genetic_rule, genetic_rule_cf, greedy_rule_cf]
+
+
 class TestGeneticRule:
     def test_recovers_two_component_truth(self):
         _, model, anchor, data = two_component_problem()
@@ -212,10 +215,11 @@ class TestGeneticRule:
         assert result.converged
         assert result.top.rule == model.rule.anchored_to(anchor)
 
-    def test_good_anchor_rejected(self):
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_good_anchor_rejected(self, search):
         _, model, _, data = two_component_problem()
         with pytest.raises(GoodAnchorError):
-            genetic_rule((4.0, 0.0, 0.0, 0.0), model, data, SearchParams())
+            search((4.0, 0.0, 0.0, 0.0), model, data, SearchParams())
 
     def test_returned_rules_pass_both_checks_on_convergence(self):
         _, model, anchor, data = two_component_problem()
@@ -235,13 +239,24 @@ class TestGeneticRule:
         assert r1.stats.iterations == r2.stats.iterations
         assert r1.stats.classifier_calls == r2.stats.classifier_calls
 
-    def test_stats_track_model_counter(self):
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_stats_track_model_counter(self, search):
         _, model, anchor, data = two_component_problem()
+        params = SearchParams(q=20, k=3, s=200, seed=8)
         before = model.calls
-        result = genetic_rule(anchor, model, data, SearchParams(q=20, k=3, s=200, seed=8))
+        if search is genetic_rule:
+            result = search(anchor, model, data, params)
+            assert result.stats.cf_calls == 0
+        else:
+            oracle = CounterfactualOracle(model, data, seed=8)
+            result = search(anchor, model, data, params, oracle=oracle)
+            assert result.stats.cf_calls == oracle.engine.queries > 0
         assert result.stats.classifier_calls == model.calls - before
-        assert result.stats.cf_calls == 0
-        assert set(result.stats.phase_times) >= {"prep", "crossover", "mutate", "select"}
+        phases = set(result.stats.phase_times)
+        if search is greedy_rule_cf:
+            assert phases >= {"prep", "cfrules"}
+        else:
+            assert phases >= {"prep", "crossover", "mutate", "select"}
 
 
 class TestGeneticRuleCf:

@@ -15,6 +15,12 @@ runs grow rules from the dual clauses of 12-feature anchors (``gen-cf``
 expands parents 160 times over 25 distinct clause families), so these
 outputs pin the clauses, their covers and the rules grown from them.
 
+``explain_rule12_greedy-cf_capped.txt`` is the only text-format golden: a
+``greedy-cf`` run on the rule12 files capped at ``--max-iterations 1``, which
+stops before any candidate verifies and falls back to the 24-component rule
+freezing every feature, with ``converged=False``. It also pins that the
+count printed as ``iterations=2`` exceeds the cap by one.
+
 ``verify_rule12_*`` grade ``rule12_verify_rule.txt``, a 9-component rule
 anchored at the rule12 data's first row that leaves ``f11`` free, in every
 ``verify`` mode. Its sampled grade is FGC with ``vs > 0``, so the sampled
@@ -72,6 +78,18 @@ def test_rule12_cf_runs_match_golden(algo, capsys):
     ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"explain_rule12_{algo}.json").read_text()
+
+
+def test_capped_greedy_falls_back_to_full_rule(capsys):
+    argv = [
+        "explain", "--data", str(GOLDEN / "rule12_data.csv"),
+        "--model", str(GOLDEN / "rule12_model.txt"), "--instance", "0",
+        "--algo", "greedy-cf", "--seed", "3", "--max-iterations", "1", "--format", "text",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "card=24" in out and "converged=False" in out
+    assert out == (GOLDEN / "explain_rule12_greedy-cf_capped.txt").read_text()
 
 
 def test_rule12_gen_cf_enumerates_covers_once_per_family(monkeypatch, capsys):
