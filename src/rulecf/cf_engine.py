@@ -60,10 +60,11 @@ class CfBudget:
 
 @dataclass(frozen=True)
 class CfQuery:
-    """A request for up to ``k`` counterfactuals of ``anchor`` inside ``rule``'s box."""
+    """A request for up to ``k`` counterfactuals of ``anchor`` inside ``rule``'s
+    box; ``rule`` is a ``Rule`` or a tuple of its components in canonical order."""
 
     anchor: tuple
-    rule: Rule = EMPTY_RULE
+    rule: Rule | tuple = EMPTY_RULE
     k: int = 10
     budget: CfBudget = CfBudget()
     seed: int = 0

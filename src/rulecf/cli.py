@@ -157,8 +157,6 @@ def cmd_verify(args) -> int:
         if args.instance is None:
             raise SchemaError("--instance is required for --mode cf")
         anchor = data.row(args.instance)
-        if not rule.is_relevant_to(anchor):
-            raise SchemaError("rule is not relevant to the chosen instance")
         mask = SlotCodec(anchor).mask(rule)
         ok = CounterfactualOracle(model, data, seed=args.seed).consistent(mask, anchor)
         print(f"cf_consistent={str(ok).lower()}")

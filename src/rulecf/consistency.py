@@ -64,8 +64,6 @@ def sample_satisfying(
 
 def violations_in_data(rule: Rule, data: Dataset, model: Classifier) -> int:
     """Number of database instances satisfying the rule with a good outcome."""
-    if data.m == 0:
-        return 0
     mask = rule.matrix_mask(data.matrix)
     if not mask.any():
         return 0

@@ -117,8 +117,8 @@ class CounterfactualOracle:
 
     Rules are slot masks anchored at the oracle's anchor (``cache`` maps a
     mask to its ``CfOutcome``), and so are their dual clauses; an oracle
-    serves the first anchor it answers for and rejects any other. The
-    ``Rule`` a query needs is built only when the cache misses.
+    serves the first anchor it answers for and rejects any other. A cache
+    miss queries the engine with the mask's components; no ``Rule`` is built.
     """
 
     def __init__(
@@ -151,13 +151,13 @@ class CounterfactualOracle:
         cached = self.cache.get(mask)
         if cached is not None:
             return cached
-        rule = self.codec.rule(mask)
+        components = self.codec.components_of(mask)
         query = CfQuery(
             anchor=anchor,
-            rule=rule,
+            rule=components,
             k=self.k,
             budget=self.budget,
-            seed=derive_seed(self.seed, "cf", _rule_digest(rule)),
+            seed=derive_seed(self.seed, "cf", _rule_digest(components)),
         )
         result = self.engine.find_counterfactuals(self.model, self.data, query)
         duals = tuple(

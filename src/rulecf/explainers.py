@@ -110,20 +110,13 @@ def rank_key(scored: ScoredRule) -> tuple:
     )
 
 
-def _as_rng(seed_or_rng) -> random.Random:
-    if isinstance(seed_or_rng, random.Random):
-        return seed_or_rng
-    return random.Random(seed_or_rng)
-
-
 # The genetic operators work on slot masks (see ``schema.SlotCodec``). Slots
 # ascend in canonical component order, so sampling a mask's bit list draws
 # exactly the components a sample of the rule's sorted components would.
 
-def mutate(pop: Iterable[int], universe: int, m: int, seed_or_rng=0) -> list:
+def mutate(pop: Iterable[int], universe: int, m: int, rng: random.Random) -> list:
     """Per parent mask, up to ``m`` children each adding one slot of
     ``universe`` the parent lacks."""
-    rng = _as_rng(seed_or_rng)
     children = []
     for parent in pop:
         complement = mask_bits(universe & ~parent)
@@ -132,9 +125,8 @@ def mutate(pop: Iterable[int], universe: int, m: int, seed_or_rng=0) -> list:
     return children
 
 
-def crossover(pop: Iterable[int], c: int, seed_or_rng=0) -> list:
+def crossover(pop: Iterable[int], c: int, rng: random.Random) -> list:
     """Per unordered pair of masks, ``c`` children sampled from their union."""
-    rng = _as_rng(seed_or_rng)
     masks = list(pop)
     sizes = [mask.bit_count() for mask in masks]
     children = []
@@ -162,11 +154,7 @@ class _Scorer:
         self.seed = seed
         self.schema = data.schema
         self.codec = SlotCodec(x)
-        if data.m:
-            d_scores = model.predict_batch(data.matrix)
-            good_rows = data.matrix[good_mask(d_scores)]
-        else:
-            good_rows = np.zeros((0, self.schema.n))
+        good_rows = data.matrix[good_mask(model.predict_batch(data.matrix))]
         self._slot_rows, self._all_good = self.codec.row_bits(good_rows)
         self._levels: dict = {}
         self._keys: dict = {}
@@ -176,7 +164,7 @@ class _Scorer:
         if level is None:
             slots = mask_slots(mask)
             vd = rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
-            components = [self.codec.components[slot] for slot in slots]
+            components = self.codec.components_of(mask)
             level = _graded(vd, components, self.model, self.schema, self.s, self.seed)
             score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
             self._levels[mask] = level
@@ -252,9 +240,9 @@ def cfrules_scheduled(iteration: int, cf_period: int, prev_levels) -> bool:
 
 class _Run:
     """Everything one explanation does around its search: the anchor check,
-    the classifier-call baseline, wall time per named phase, the scorer, the
-    counterfactual oracle (when ``use_cf``; built from ``params`` unless one
-    is handed in) and the assembled result."""
+    the classifier-call and counterfactual-query baselines, wall time per
+    named phase, the scorer, the counterfactual oracle (when ``use_cf``;
+    built from ``params`` unless one is handed in) and the assembled result."""
 
     def __init__(self, x, model, data, params, oracle=None, use_cf=True):
         self.t0 = time.perf_counter()
@@ -273,6 +261,7 @@ class _Run:
                     model, data, k=params.cf_k, budget=params.cf_budget, seed=params.seed
                 )
             self.oracle = oracle
+            self.cf0 = oracle.engine.queries if oracle is not None else 0
 
     @contextmanager
     def phase(self, name: str):
@@ -287,7 +276,7 @@ class _Run:
         stats = RunStats(
             iterations=iterations,
             classifier_calls=self.model.calls - self.calls0,
-            cf_calls=self.oracle.engine.queries if self.oracle is not None else 0,
+            cf_calls=self.oracle.engine.queries - self.cf0 if self.oracle is not None else 0,
             wall_time=time.perf_counter() - self.t0,
             phase_times=dict(self.phase_times),
         )
@@ -307,8 +296,8 @@ def _run_genetic(
     rng_cross = random.Random(derive_seed(params.seed, "crossover"))
     rng_mut = random.Random(derive_seed(params.seed, "mutate"))
 
-    # the search holds rules as slot masks; Rules are built only for an
-    # oracle query the cache cannot answer and for the returned top rules
+    # the search holds rules as slot masks; Rules are built only for the
+    # returned top rules
     with run.phase("prep"):
         pop = mask_bits(scorer.codec.full)
         seen = set(pop)
@@ -403,9 +392,9 @@ def greedy_rule_cf(
             if oracle.consistent(head, x):
                 final = head
                 break
-        iterations += 1
-        if iterations > params.max_iterations:
+        if iterations == params.max_iterations:
             break
+        iterations += 1
         with run.phase("cfrules"):
             children = cf_rules([head], x, oracle)
         pop = sorted(set(pop).union(children), key=mask_order)[: params.q]

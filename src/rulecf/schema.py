@@ -113,22 +113,6 @@ class Rule:
             raise SchemaError(f"conflicting bounds for feature {f} direction {d.value}")
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def relevant_to(cls, anchor: Instance, components: Iterable[RuleComponent]) -> "Rule":
-        """Build a rule and reject any component not anchored at ``anchor``."""
-        comps = tuple(components)
-        for c in comps:
-            if c.feature >= len(anchor):
-                raise SchemaError(
-                    f"component feature {c.feature} outside anchor of length {len(anchor)}"
-                )
-            if c.bound != anchor[c.feature]:
-                raise SchemaError(
-                    f"component bound {c.bound:g} differs from anchor value "
-                    f"{anchor[c.feature]:g} at feature {c.feature}"
-                )
-        return cls(comps)
-
     @property
     def cardinality(self) -> int:
         return len(self.components)
@@ -143,17 +127,10 @@ class Rule:
             mask &= c.direction.holds(X[:, c.feature], c.bound)
         return mask
 
-    def is_relevant_to(self, x: Instance) -> bool:
-        return all(c.feature < len(x) and c.bound == x[c.feature] for c in self.components)
-
-    def without(self, component: RuleComponent) -> "Rule":
-        return Rule(tuple(c for c in self.components if c != component))
-
     def anchored_to(self, x: Instance) -> "Rule":
         """The same (feature, direction) slots with bounds moved to ``x``'s values."""
-        return Rule.relevant_to(
-            x, (RuleComponent(c.feature, c.direction, x[c.feature]) for c in self.components)
-        )
+        codec = SlotCodec(x)
+        return codec.rule(sum(1 << codec.slot(c) for c in self.components))
 
     def __len__(self) -> int:
         return len(self.components)
@@ -412,25 +389,38 @@ class SlotCodec:
     Slot ``2*feature`` holds ``feature <= x[feature]`` and slot
     ``2*feature + 1`` holds ``feature >= x[feature]``. Slot order is the
     canonical component order (``RuleComponent.sort_key``), so a mask's
-    ascending set bits list its rule's components in order.
+    ascending set bits list its rule's components in order. The codec is the
+    one place that converts between an anchored ``Rule`` and its mask.
     """
 
     def __init__(self, x: Instance):
         self.components = all_components(x)
         self.full = (1 << len(self.components)) - 1
 
+    def slot(self, c: RuleComponent) -> int:
+        """The slot of ``c``'s feature and direction, whatever its bound."""
+        slot = 2 * c.feature + (c.direction is Direction.GEQ)
+        if slot >= len(self.components):
+            raise SchemaError(f"component {c} references a feature the anchor lacks")
+        return slot
+
     def mask(self, rule: Rule) -> int:
+        """The mask of ``rule``; raises for a component not anchored at the instance."""
         mask = 0
         for c in rule.components:
-            slot = 2 * c.feature + (c.direction is Direction.GEQ)
-            if slot >= len(self.components) or self.components[slot].bound != c.bound:
+            slot = self.slot(c)
+            if self.components[slot].bound != c.bound:
                 raise SchemaError(f"component {c} is not anchored at the instance")
             mask |= 1 << slot
         return mask
 
-    def rule(self, mask: int) -> Rule:
+    def components_of(self, mask: int) -> tuple:
+        """The components of ``mask``'s slots, in canonical order."""
         comps = self.components
-        return Rule(tuple(comps[bit.bit_length() - 1] for bit in mask_bits(mask)))
+        return tuple(comps[bit.bit_length() - 1] for bit in mask_bits(mask))
+
+    def rule(self, mask: int) -> Rule:
+        return Rule(self.components_of(mask))
 
     def row_bits(self, rows: np.ndarray) -> tuple:
         """Bitsets over the rows of a (m, n) value matrix: per slot, the rows

@@ -299,7 +299,8 @@ def test_criterion_6_greedy_minimality():
         if rule.cardinality == found.cardinality:
             exact += 1
         if all(
-            brute_force_global_consistent(rule.without(c), model, schema)
+            brute_force_global_consistent(
+                Rule(tuple(d for d in rule.components if d != c)), model, schema)
             is BruteForceOutcome.INCONSISTENT
             for c in rule.components
         ):

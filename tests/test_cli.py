@@ -145,6 +145,19 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "cf_consistent=true"
 
+    def test_cf_mode_rejects_a_rule_not_anchored_at_the_instance(self, workdir, capsys):
+        rule_path = workdir / "rule.txt"
+        rule_path.write_text("age >= 41\nincome <= 500\n")  # row 0 has age 50
+        code, out, err = run(
+            ["verify", "--data", str(workdir / "data.csv"),
+             "--model", str(workdir / "model.txt"),
+             "--rule", str(rule_path), "--mode", "cf", "--instance", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "not anchored" in err
+
     def test_brute_mode(self, workdir, capsys):
         rule_path = workdir / "rule.txt"
         rule_path.write_text("age >= 50\nincome <= 500\n")

@@ -204,7 +204,7 @@ class StubEngine:
     def find_counterfactuals(self, model, data, query):
         self.queries += 1
         return CfResult(tuple(
-            Counterfactual(x, frozenset(), 0.0) for x in self.outcomes.get(query.rule, ())
+            Counterfactual(x, frozenset(), 0.0) for x in self.outcomes.get(Rule(query.rule), ())
         ))
 
 

@@ -90,7 +90,7 @@ class TestMutate:
         x = tuple(float(v) for v in range(7))
         codec = SlotCodec(x)  # 14 slots
         parent = Rule((codec.components[0],))
-        children = mutate([codec.mask(parent)], codec.full, 3, seed_or_rng=5)
+        children = mutate([codec.mask(parent)], codec.full, 3, random.Random(5))
         children = [codec.rule(c) for c in children]
         assert len(children) == 3
         assert all(c.cardinality == 2 for c in children)
@@ -99,14 +99,14 @@ class TestMutate:
     def test_full_parent_has_no_children(self):
         x = (1.0, 2.0)
         codec = SlotCodec(x)
-        children = mutate([codec.mask(trivial_rule(x))], codec.full, 3, seed_or_rng=5)
+        children = mutate([codec.mask(trivial_rule(x))], codec.full, 3, random.Random(5))
         assert children == []
 
     def test_no_duplicate_components(self):
         x = (1.0, 2.0, 3.0)
         codec = SlotCodec(x)
         parent = Rule(codec.components[:2])
-        for child in mutate([codec.mask(parent)], codec.full, 4, seed_or_rng=0):
+        for child in mutate([codec.mask(parent)], codec.full, 4, random.Random(0)):
             child = codec.rule(child)
             assert len(set(child.components)) == child.cardinality
 
@@ -115,7 +115,7 @@ class TestCrossover:
     codec = SlotCodec((1.0, 2.0, 3.0, 4.0))
 
     def cross(self, rules, c, seed):
-        children = crossover([self.codec.mask(r) for r in rules], c, seed_or_rng=seed)
+        children = crossover([self.codec.mask(r) for r in rules], c, random.Random(seed))
         return [self.codec.rule(child) for child in children]
 
     def test_union_sample_size(self):
@@ -161,7 +161,7 @@ class TestSelectFittest:
     def test_truncates_to_q(self):
         codec = SlotCodec(self.anchor)
         cands = [Rule((c,)) for c in codec.components]
-        cands += map(codec.rule, crossover(mask_bits(codec.full), 2, seed_or_rng=1))
+        cands += map(codec.rule, crossover(mask_bits(codec.full), 2, random.Random(1)))
         distinct = len(set(cands))
         assert distinct > 5
         ranked = select_fittest(
@@ -358,6 +358,31 @@ class TestGreedyRuleCf:
         for bit in mask_bits(top):
             assert not oracle.consistent(top & ~bit, anchor)
 
+    def test_cf_calls_count_this_run_only(self):
+        _, model, anchor, data = two_component_problem()
+        oracle = CounterfactualOracle(model, data, seed=5)
+        first = greedy_rule_cf(anchor, model, data, SearchParams(seed=5), oracle=oracle)
+        # the second run finds every answer in the shared oracle's cache
+        second = greedy_rule_cf(anchor, model, data, SearchParams(seed=5), oracle=oracle)
+        assert (first.stats.cf_calls, second.stats.cf_calls) == (2, 0)
+        assert oracle.engine.queries == 2
+
+    @pytest.mark.parametrize("cap, iterations, converged", [
+        (1, 1, False), (2, 2, False), (3, 3, False), (4, 4, True), (5, 4, True),
+    ])
+    def test_iterations_never_exceed_the_cap(self, cap, iterations, converged):
+        # five components over seven 3-value features: with one
+        # counterfactual per query the search expands four heads
+        schema = small_schema((3,) * 7)
+        truth = Rule((leq(0, 0), leq(3, 1), geq(3, 1), geq(4, 1), geq(6, 2)))
+        model = RuleClassifier(truth, 7)
+        anchor = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 2.0)
+        data = box_dataset(schema, truth, 20, seed=10)
+        params = SearchParams(seed=10, cf_k=1, max_iterations=cap)
+        result = greedy_rule_cf(anchor, model, data, params)
+        assert (result.stats.iterations, result.converged) == (iterations, converged)
+        assert result.top.rule == (truth if converged else trivial_rule(anchor))
+
 
 class TestCfVerifiedStamp:
     """A rule is stamped ``cf_verified`` only if the database does not
@@ -397,7 +422,23 @@ class TestOutputRelevance:
         for algo in (genetic_rule, genetic_rule_cf, greedy_rule_cf):
             result = algo(anchor, model, data, params)
             for sr in result.rules:
-                assert sr.rule.is_relevant_to(anchor)
+                SlotCodec(anchor).mask(sr.rule)  # raises unless anchored at x
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_a_rule_is_built_only_per_returned_rule(self, search, monkeypatch):
+        _, model, anchor, data = two_component_problem()
+        params = SearchParams(q=20, k=3, s=200, seed=2, max_iterations=60)
+        built = []
+        init = Rule.__post_init__
+
+        def counted(rule):
+            built.append(rule)
+            init(rule)
+
+        monkeypatch.setattr(Rule, "__post_init__", counted)
+        result = search(anchor, model, data, params)
+        assert result.rules
+        assert built == [sr.rule for sr in result.rules]
 
 
 class TestReduceRedundancy:
@@ -513,6 +554,20 @@ class TestScorerMatchesConsistencyLevel:
         levels = {scorer.level(mask).level for mask in range(scorer.codec.full + 1)}
         assert Level.FGC in levels  # sampled grades ran
         assert built == []
+
+    def test_empty_history_grades_by_sampling_alone(self):
+        schema = small_schema((5, 5, 5))
+        model = RuleClassifier(Rule((leq(0, 2), geq(1, 2))), 3)
+        data = Dataset(schema, ())
+        assert data.matrix.shape == (0, 3)
+        anchor = (1.0, 3.0, 2.0)
+        before = model.calls
+        scorer = _Scorer(model, data, s=100, seed=3, x=anchor)
+        assert model.calls == before  # no rows, no classifier calls
+        for mask in range(scorer.codec.full + 1):
+            expected = consistency_level(scorer.codec.rule(mask), data, model, s=100, seed=3)
+            assert scorer.level(mask) == expected
+            assert expected.vd == 0
 
     def test_violating_first_row_is_counted(self):
         # the first rows map to the padded end of the packed bitset; a

@@ -19,7 +19,7 @@ outputs pin the clauses, their covers and the rules grown from them.
 ``greedy-cf`` run on the rule12 files capped at ``--max-iterations 1``, which
 stops before any candidate verifies and falls back to the 24-component rule
 freezing every feature, with ``converged=False``. It also pins that the
-count printed as ``iterations=2`` exceeds the cap by one.
+printed ``iterations=1`` equals the cap.
 
 ``verify_rule12_*`` grade ``rule12_verify_rule.txt``, a 9-component rule
 anchored at the rule12 data's first row that leaves ``f11`` free, in every

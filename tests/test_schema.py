@@ -19,6 +19,7 @@ from rulecf import (
     make_schema,
     trivial_rule,
 )
+from rulecf.schema import SlotCodec
 
 from conftest import all_instances, small_schema
 
@@ -47,7 +48,8 @@ class TestRuleEval:
 
     def test_rule_holds_on_its_anchor(self):
         anchor = (50.0, 4.0, 500.0, 10000.0)
-        rule = Rule.relevant_to(anchor, (leq(AGE, 50), geq(ACC, 4), leq(INC, 500)))
+        rule = Rule((leq(AGE, 50), geq(ACC, 4), leq(INC, 500)))
+        SlotCodec(anchor).mask(rule)  # raises unless anchored at the anchor
         assert rule.evaluate(anchor)
 
     def test_violated_bound(self):
@@ -215,8 +217,8 @@ class TestBoxKernel:
 class TestRuleConstruction:
     def test_relevance_enforced(self):
         anchor = (50.0, 4.0, 500.0, 10000.0)
-        with pytest.raises(SchemaError):
-            Rule.relevant_to(anchor, (leq(AGE, 49),))
+        with pytest.raises(SchemaError, match="not anchored"):
+            SlotCodec(anchor).mask(Rule((leq(AGE, 49),)))
 
     def test_conflicting_slot_bounds_rejected(self):
         with pytest.raises(SchemaError):
@@ -237,6 +239,19 @@ class TestRuleConstruction:
         rule = Rule((leq(0, 7), geq(2, 1)))
         anchored = rule.anchored_to((5.0, 9.0, 3.0))
         assert anchored == Rule((leq(0, 5), geq(2, 3)))
+
+    def test_anchoring_outside_the_instance_rejected(self):
+        with pytest.raises(SchemaError):
+            Rule((leq(0, 7), geq(3, 1))).anchored_to((5.0, 9.0, 3.0))
+
+    def test_codec_components_of_a_mask_are_canonical(self):
+        x = (5.0, 9.0, 3.0)
+        codec = SlotCodec(x)
+        rule = Rule((geq(2, 3), leq(0, 5), geq(0, 5)))
+        mask = codec.mask(rule)
+        assert codec.components_of(mask) == rule.components
+        assert codec.rule(mask) == rule
+        assert [codec.slot(c) for c in rule] == [0, 1, 5]
 
 
 class TestSchemaTypes:
