@@ -27,7 +27,7 @@ from typing import Callable, Collection, Iterable
 
 import numpy as np
 
-from .classifiers import Classifier, good_mask, good_points, is_bad_score
+from .classifiers import Classifier, good_mask, good_points
 from .schema import EMPTY_RULE, Dataset, DatasetSchema, Instance, Rule, SchemaError
 
 
@@ -238,7 +238,7 @@ def reduce_changes(
     """
     cand = tuple(float(v) for v in cand)
     anchor = tuple(float(v) for v in anchor)
-    if is_bad_score(model.predict(cand)):
+    if model.is_bad(cand):
         raise ValueError("candidate must have a good outcome before reduction")
     good = {cand: True}
 
@@ -266,7 +266,7 @@ class CounterfactualEngine:
     def find_counterfactuals(self, model: Classifier, data: Dataset, query: CfQuery) -> CfResult:
         schema = data.schema
         schema.validate_instance(query.anchor)
-        if not is_bad_score(model.predict(query.anchor)):
+        if not model.is_bad(query.anchor):
             raise GoodAnchorError("anchor instance already has the good outcome")
         self.queries += 1
 

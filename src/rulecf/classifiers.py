@@ -82,9 +82,14 @@ class Classifier(abc.ABC):
             )
 
     def predict(self, x: Instance) -> float:
+        """Score one instance as a one-row batch that counts as one call.
+
+        It calls ``_score_batch``, not ``predict_batch``: a tracer that wraps
+        both methods on the instance would otherwise count the row twice.
+        """
         self._check_width(len(x))
         self._count(1)
-        return self._score_one(tuple(float(v) for v in x))
+        return float(self._score_batch(np.asarray([x], dtype=np.float64))[0])
 
     def predict_batch(self, X) -> np.ndarray:
         arr = np.asarray(X, dtype=np.float64)
@@ -98,10 +103,8 @@ class Classifier(abc.ABC):
         return is_bad_score(self.predict(x))
 
     @abc.abstractmethod
-    def _score_one(self, x: Instance) -> float: ...
-
     def _score_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self._score_one(tuple(row)) for row in X], dtype=np.float64)
+        """Scores of the rows of a 2-D float64 matrix of the model's width."""
 
 
 class RuleClassifier(Classifier):
@@ -115,9 +118,6 @@ class RuleClassifier(Classifier):
                     f"rule references feature {c.feature} but model has {n_features}"
                 )
         self.rule = rule
-
-    def _score_one(self, x: Instance) -> float:
-        return 0.0 if self.rule.evaluate(x) else 1.0
 
     def _score_batch(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.rule.matrix_mask(X), 0.0, 1.0)
@@ -161,28 +161,24 @@ class TreeClassifier(Classifier):
                         raise SchemaError(f"node {nid} references missing child {child}")
             else:
                 raise SchemaError(f"unexpected tree entry {node!r}")
-        # every path from the root must terminate at a leaf, with no cycles
+        # every path from the root must terminate at a leaf, with no cycles; an
+        # explicit stack walks it, so a deep chain cannot exhaust the recursion
+        # limit, and the "open" nodes, not yet closed by their (nid, True)
+        # entry, are the path from the root
         state: dict = {}
-
-        def visit(nid: int) -> None:
-            if state.get(nid) == "done":
-                return
-            if state.get(nid) == "open":
+        stack = [(self.ROOT, False)]
+        while stack:
+            nid, closing = stack.pop()
+            if closing or state.get(nid) == "done":
+                state[nid] = "done"
+            elif state.get(nid) == "open":
                 raise SchemaError(f"tree contains a cycle through node {nid}")
-            state[nid] = "open"
-            node = self.nodes[nid]
-            if isinstance(node, TreeNode):
-                visit(node.left)
-                visit(node.right)
-            state[nid] = "done"
-
-        visit(self.ROOT)
-
-    def _score_one(self, x: Instance) -> float:
-        node = self.nodes[self.ROOT]
-        while isinstance(node, TreeNode):
-            node = self.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-        return node.score
+            else:
+                state[nid] = "open"
+                stack.append((nid, True))
+                node = self.nodes[nid]
+                if isinstance(node, TreeNode):
+                    stack += [(node.right, False), (node.left, False)]
 
     def _score_batch(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X), dtype=np.float64)
@@ -232,9 +228,6 @@ class NetClassifier(Classifier):
             h = np.maximum(h @ w.T + b, 0.0)
         z = h @ self.weights[-1].T + self.biases[-1]
         return 1.0 / (1.0 + np.exp(-np.clip(z[:, 0], -500.0, 500.0)))
-
-    def _score_one(self, x: Instance) -> float:
-        return float(self._score_batch(np.asarray([x], dtype=np.float64))[0])
 
 
 # -- model file parsing -------------------------------------------------------

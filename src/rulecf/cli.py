@@ -19,7 +19,9 @@ from .consistency import BruteForceOutcome, brute_force_global_consistent, viola
 from .dataio import IngestError, format_component, format_rule, ingest_csv, load_rule_file
 from .duality import CounterfactualOracle
 from .explainers import SearchParams, consistency_level
-from .harness import ALGORITHMS, default_experiment_schema, run_experiment_suite
+from .harness import (
+    ALGORITHMS, SyntheticSpec, default_experiment_schema, run_synthetic_experiment,
+)
 from .schema import SchemaError, SlotCodec, make_schema
 
 
@@ -53,12 +55,17 @@ def _rule_payload(scored, schema):
     }
 
 
+def _anchor_row(data, instance: int):
+    """The row ``--instance`` names; ``SchemaError`` when it is out of range."""
+    if not (0 <= instance < data.m):
+        raise SchemaError(f"--instance must be in 0..{data.m - 1}")
+    return data.row(instance)
+
+
 def cmd_explain(args) -> int:
     data = ingest_csv(args.data, groups=_parse_groups(args.group))
     model = load_model(args.model)
-    if not (0 <= args.instance < data.m):
-        raise SchemaError(f"--instance must be in 0..{data.m - 1}")
-    anchor = data.row(args.instance)
+    anchor = _anchor_row(data, args.instance)
     params = _search_params(args)
     result = ALGORITHMS[args.algo](anchor, model, data, params)
 
@@ -110,10 +117,13 @@ def cmd_synthetic(args) -> int:
             raise SchemaError(f"unknown algorithm {name!r}")
     params = _search_params(args)
     started = time.perf_counter()
-    reports = run_experiment_suite(
-        schema, components, args.trials,
-        algorithms=algos, params=params, seed=args.seed, dataset_rows=args.rows,
-    )
+    reports = [
+        run_synthetic_experiment(
+            SyntheticSpec(schema=schema, components=n, trials=args.trials, seed=args.seed),
+            algorithms=algos, params=params, dataset_rows=args.rows,
+        )
+        for n in components
+    ]
     print(f"experiment wall time: {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
     payload = {
@@ -156,7 +166,7 @@ def cmd_verify(args) -> int:
     elif args.mode == "cf":
         if args.instance is None:
             raise SchemaError("--instance is required for --mode cf")
-        anchor = data.row(args.instance)
+        anchor = _anchor_row(data, args.instance)
         mask = SlotCodec(anchor).mask(rule)
         ok = CounterfactualOracle(model, data, seed=args.seed).consistent(mask, anchor)
         print(f"cf_consistent={str(ok).lower()}")

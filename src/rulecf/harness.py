@@ -250,7 +250,6 @@ def categorize_real(
 
 @dataclass
 class AlgorithmSummary:
-    algorithm: str
     trials: int
     counts: dict = field(default_factory=dict)
     classifier_calls: int = 0
@@ -264,10 +263,13 @@ class AlgorithmSummary:
         self.cf_calls += result.stats.cf_calls
         self.runtimes.append(result.stats.wall_time)
 
+    def buckets(self) -> dict:
+        """The count of every synthetic category, then ``error``."""
+        counts = {cat.value: self.counts.get(cat.value, 0) for cat in SyntheticCategory}
+        return {**counts, "error": self.errors}
+
     def percentages(self) -> dict:
-        buckets = {cat.value: self.counts.get(cat.value, 0) for cat in SyntheticCategory}
-        buckets["error"] = self.errors
-        return {name: 100.0 * count / self.trials for name, count in buckets.items()}
+        return {name: 100.0 * count / self.trials for name, count in self.buckets().items()}
 
     def runtime_stats(self) -> dict:
         if not self.runtimes:
@@ -295,10 +297,7 @@ class ExperimentReport:
             summary = self.algorithms[name]
             entry = {
                 "trials": summary.trials,
-                "counts": {
-                    **{cat.value: summary.counts.get(cat.value, 0) for cat in SyntheticCategory},
-                    "error": summary.errors,
-                },
+                "counts": summary.buckets(),
                 "percentages": summary.percentages(),
                 "classifier_calls": summary.classifier_calls,
                 "cf_calls": summary.cf_calls,
@@ -340,10 +339,7 @@ def run_synthetic_experiment(
         trials=spec.trials,
         seed=spec.seed,
         dataset_rows=dataset_rows,
-        algorithms={
-            name: AlgorithmSummary(algorithm=name, trials=spec.trials)
-            for name in algorithms
-        },
+        algorithms={name: AlgorithmSummary(trials=spec.trials) for name in algorithms},
     )
     for trial in range(spec.trials):
         model, anchor = gen_synthetic_classifier(spec, trial)
@@ -365,24 +361,3 @@ def run_synthetic_experiment(
                 continue
             summary.record(categorize_synthetic(result.top.rule, truth), result)
     return report
-
-
-def run_experiment_suite(
-    schema: DatasetSchema,
-    components_list: Sequence[int],
-    trials: int,
-    algorithms: Sequence[str] = ("gen", "gen-cf", "greedy-cf"),
-    params: Optional[SearchParams] = None,
-    seed: int = 0,
-    dataset_rows: int = 1000,
-) -> list:
-    """One report per requested ground-truth cardinality, sharing the dataset."""
-    reports = []
-    for components in components_list:
-        spec = SyntheticSpec(schema=schema, components=components, trials=trials, seed=seed)
-        reports.append(
-            run_synthetic_experiment(
-                spec, algorithms=algorithms, params=params, dataset_rows=dataset_rows
-            )
-        )
-    return reports

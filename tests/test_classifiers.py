@@ -29,16 +29,25 @@ class TestRuleClassifier:
         assert model.predict((11.0, 0.0, 0.0)) == 1.0
 
     def test_batch_matches_scalar(self):
-        model = RuleClassifier(Rule((leq(0, 2), geq(1, 1))), 2)
+        rule = Rule((leq(0, 2), geq(1, 1)))
+        model = RuleClassifier(rule, 2)
         rows = [(0.0, 0.0), (0.0, 1.0), (3.0, 1.0)]
-        batch = model.predict_batch(rows)
-        singles = [model.predict(r) for r in rows]
-        assert list(batch) == singles
+        expected = [0.0 if rule.evaluate(r) else 1.0 for r in rows]
+        assert list(model.predict_batch(rows)) == expected
+        assert [model.predict(r) for r in rows] == expected
 
     def test_dimension_mismatch(self):
         model = RuleClassifier(Rule((leq(0, 1),)), 2)
         with pytest.raises(SchemaError):
             model.predict((1.0,))
+
+
+def walk(model: TreeClassifier, x) -> float:
+    """A tree's score at ``x`` by following its splits from the root."""
+    node = model.nodes[model.ROOT]
+    while isinstance(node, TreeNode):
+        node = model.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+    return node.score
 
 
 class TestTreeClassifier:
@@ -56,8 +65,23 @@ class TestTreeClassifier:
         from conftest import all_instances
 
         rows = all_instances(schema)
+        expected = [walk(model, r) for r in rows]
+        assert list(model.predict_batch(rows)) == expected
+        assert [model.predict(r) for r in rows] == expected
+
+    def test_deep_chain_loads_and_scores(self):
+        # each node's left child is a leaf; the right child is the next node
+        depth = 5000
+        lines = ["tree", "features 1"]
+        for i in range(depth):
+            lines.append(f"node {2 * i} 0 {i} {2 * i + 1} {2 * i + 2}")
+            lines.append(f"leaf {2 * i + 1} {(i % 10) / 10}")
+        lines.append(f"leaf {2 * depth} 1.0")
+        model = parse_model("\n".join(lines))
+        rows = [(-1.0,), (0.0,), (17.5,), (4999.0,), (5000.0,)]
         batch = model.predict_batch(rows)
-        assert list(batch) == [model.predict(r) for r in rows]
+        assert list(batch) == [0.0, 0.0, 0.8, 0.9, 1.0]
+        assert [model.predict(r) for r in rows] == list(batch)
 
     def test_cycle_rejected(self):
         with pytest.raises(SchemaError):

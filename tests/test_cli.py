@@ -145,6 +145,21 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "cf_consistent=true"
 
+    @pytest.mark.parametrize("instance", ["99", "-8"])
+    def test_cf_mode_instance_out_of_range(self, workdir, capsys, instance):
+        # -8 would index row 0 from the end of the 8-row data
+        rule_path = workdir / "rule.txt"
+        rule_path.write_text("age >= 50\n")
+        code, out, err = run(
+            ["verify", "--data", str(workdir / "data.csv"),
+             "--model", str(workdir / "model.txt"),
+             "--rule", str(rule_path), "--mode", "cf", "--instance", instance],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --instance must be in 0..7\n"
+
     def test_cf_mode_rejects_a_rule_not_anchored_at_the_instance(self, workdir, capsys):
         rule_path = workdir / "rule.txt"
         rule_path.write_text("age >= 41\nincome <= 500\n")  # row 0 has age 50
