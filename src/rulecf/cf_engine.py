@@ -4,9 +4,12 @@ Given a bad-outcome anchor instance and a rule, the engine looks for
 good-outcome instances inside the rule's box (:meth:`DatasetSchema.box`),
 drawing candidate values only from the schema domains. Small boxes are
 enumerated exhaustively, which makes a NotFound answer exact there; larger
-boxes fall back to a seeded genetic search whose initial population contains
-every admissible single-feature perturbation of the anchor, so any classifier
-whose bad region is a single axis-aligned box is still decided exactly.
+boxes fall back to a seeded genetic search. While the box admits at most
+``SEED_CAP`` single-feature perturbations of the anchor (projected into the
+box), its initial population holds every one, so a classifier whose bad
+region is a single axis-aligned box is still decided exactly. Above the cap,
+a feature with more alternatives than its share of the cap is seeded with a
+random sample of them, and that exactness no longer holds.
 
 Returned counterfactuals are redundancy-reduced: no single changed feature
 can be reverted to the anchor value without losing the good outcome. One
@@ -380,13 +383,12 @@ class CounterfactualEngine:
 
         absorb(seeds)
         pop = select(seeds)
-        no_good_gens = 0
-        good_stall = 0
+        # generations since the last new counterfactual; while none is found
+        # every generation counts, since finding one makes goods non-empty
+        stall = 0
 
         for _generation in range(MAX_GENERATIONS):
-            if goods and good_stall >= GOOD_STALL:
-                break
-            if not goods and no_good_gens >= STALL_GENERATIONS:
+            if stall >= (GOOD_STALL if goods else STALL_GENERATIONS):
                 break
             offspring = []
             for _ in range(POPULATION_SIZE):
@@ -405,11 +407,7 @@ class CounterfactualEngine:
                     offspring.append(replaced(parent, j, rng.randrange(len(box[j]) - 1)))
             evaluate(offspring)
             self.generations += 1
-            new = absorb(offspring)
-            if goods:
-                good_stall = 0 if new else good_stall + 1
-            else:
-                no_good_gens += 1
+            stall = 0 if absorb(offspring) else stall + 1
             pop = select(pop + offspring)
 
         return _ranked(goods, query.k)

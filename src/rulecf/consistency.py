@@ -5,6 +5,7 @@ that combines the first two is ``explainers.consistency_level``."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,11 +88,8 @@ def brute_force_global_consistent(
     box = schema.box(rule)
     if not all(box):
         return BruteForceOutcome.CONSISTENT  # an empty box holds no instance
-    size = 1
-    for r in box:
-        size *= len(r)
-        if size > cap:
-            return BruteForceOutcome.TOO_LARGE
+    if math.prod(len(r) for r in box) > cap:
+        return BruteForceOutcome.TOO_LARGE
     if any(len(goods) for goods in good_points(model, schema, box)):
         return BruteForceOutcome.INCONSISTENT
     return BruteForceOutcome.CONSISTENT

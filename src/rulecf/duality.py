@@ -50,8 +50,9 @@ def minimal_set_covers(family: Iterable[int]) -> list:
 
     Sorted by size, then by ascending slot tuple. The empty family is covered
     by the empty mask alone. Branches on the slots of the first un-hit
-    clause; every minimal cover is reachable this way, and a final filter
-    discards the non-minimal extras the branching produces.
+    clause; every minimal cover is reachable this way. A cover is minimal iff
+    each of its slots is the only one of the cover hitting some clause, so
+    each cover the branching reaches is kept or dropped on the spot.
     """
     clauses = set(family)
     if 0 in clauses:
@@ -62,7 +63,7 @@ def minimal_set_covers(family: Iterable[int]) -> list:
         if not any(other & ~clause == 0 for other in kept):
             kept.append(clause)
 
-    candidates: set = set()
+    covers: list = []
     seen: set = set()
     # a minimal cover has one clause hit by each slot alone, so its size
     # never exceeds the clause count; deeper branches are dead ends
@@ -78,15 +79,12 @@ def minimal_set_covers(family: Iterable[int]) -> list:
                     for bit in mask_bits(clause):
                         extend(chosen | bit)
                 return
-        candidates.add(chosen)
+        hits = {clause & chosen for clause in kept}
+        if all(bit in hits for bit in mask_bits(chosen)):
+            covers.append(chosen)
 
     extend(0)
-    minimal: list = []
-    for cand in sorted(candidates, key=mask_order):
-        # earlier covers are no larger, so containment means a proper subset
-        if not any(prev & ~cand == 0 for prev in minimal):
-            minimal.append(cand)
-    return minimal
+    return sorted(covers, key=mask_order)
 
 
 # -- cached counterfactual oracle --------------------------------------------
@@ -209,8 +207,7 @@ def cf_rules(pop: Iterable[int], x: Instance, oracle: CounterfactualOracle) -> l
     with no counterfactual yield nothing; for the rest, each minimal cover
     of the dual clauses yields one strictly larger candidate mask.
     """
-    candidates: list = []
-    emitted: set = set()
+    children: dict = {}
     for parent in sorted(dict.fromkeys(pop), key=mask_slots):
         outcome = oracle.outcome(parent, x)
         if not outcome.found:
@@ -219,9 +216,9 @@ def cf_rules(pop: Iterable[int], x: Instance, oracle: CounterfactualOracle) -> l
             raise RuntimeError(
                 "counterfactual engine returned an instance violating its constraints"
             )
+        # a found outcome has a dual, every dual is non-empty (a
+        # counterfactual differs from the anchor) and none meets the parent,
+        # so every cover adds a slot: each child strictly contains its parent
         for cover in oracle.covers(outcome.duals):
-            child = parent | cover
-            if child != parent and child not in emitted:
-                emitted.add(child)
-                candidates.append(child)
-    return candidates
+            children.setdefault(parent | cover)
+    return list(children)

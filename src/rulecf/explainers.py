@@ -300,12 +300,9 @@ def _run_genetic(
     # returned top rules
     with run.phase("prep"):
         pop = mask_bits(scorer.codec.full)
-        seen = set(pop)
         if use_cf:
-            for mask in cf_rules([0], x, oracle):
-                if mask not in seen:
-                    seen.add(mask)
-                    pop.append(mask)
+            pop = list(dict.fromkeys(pop + cf_rules([0], x, oracle)))
+        seen = set(pop)
 
     topk: list = []
     prev_levels: Optional[list] = None
@@ -414,12 +411,15 @@ def reduce_redundancy(mask: int, x: Instance, oracle: CounterfactualOracle) -> i
     consistent."""
     if not oracle.consistent(mask, x):
         raise ValueError("rule must be verified consistent before reduction")
-    progress = True
-    while progress:
-        progress = False
-        for bit in mask_bits(mask):
-            if oracle.consistent(mask & ~bit, x):
-                mask &= ~bit
-                progress = True
-                break
+    while bit := _droppable_slot(mask, x, oracle):
+        mask &= ~bit
     return mask
+
+
+def _droppable_slot(mask: int, x: Instance, oracle: CounterfactualOracle) -> int:
+    """The lowest slot of ``mask`` whose removal leaves the rule verified
+    consistent, or 0 if there is none."""
+    for bit in mask_bits(mask):
+        if oracle.consistent(mask & ~bit, x):
+            return bit
+    return 0

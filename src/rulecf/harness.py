@@ -17,6 +17,7 @@ from .duality import CounterfactualOracle, derive_seed
 from .explainers import (
     ExplanationResult,
     SearchParams,
+    _droppable_slot,
     consistency_level,
     genetic_rule,
     genetic_rule_cf,
@@ -237,9 +238,8 @@ def categorize_real(
         oracle = CounterfactualOracle(model, data, seed=seed)
     if level.level is Level.FGC or not oracle.consistent(mask, x):
         return RealCategory.FGC
-    for bit in mask_bits(mask):
-        if oracle.consistent(mask & ~bit, x):
-            return RealCategory.GC_REDUNDANT
+    if _droppable_slot(mask, x, oracle):
+        return RealCategory.GC_REDUNDANT
     found = minimal_rule_search(x, model, data, oracle=oracle)
     if found.cardinality is not None and found.cardinality < returned.cardinality:
         return RealCategory.GC_NOT_MINIMAL

@@ -265,10 +265,7 @@ class DatasetSchema:
             )
 
     def space_size(self) -> int:
-        size = 1
-        for f in self.features:
-            size *= len(f.domain)
-        return size
+        return math.prod(len(f.domain) for f in self.features)
 
 
 def make_schema(domains: Sequence[Sequence[float]], names: Optional[Sequence[str]] = None) -> DatasetSchema:

@@ -151,6 +151,11 @@ class TestCoverExpansionCaps:
         covers = _covers_for_expansion(family)
         assert covers  # never starves expansion
         assert covers == minimal_set_covers(family)[:1]
+        # six disjoint 4-slot clauses: 4**6 minimal covers of 6 slots, too
+        # many for a pairwise subset filter to finish quickly
+        family = tuple(mask(*range(i, i + 4)) for i in range(0, 24, 4))
+        assert len(minimal_set_covers(family)) == 4**6
+        assert _covers_for_expansion(family) == minimal_set_covers(family)[:1]
 
     def test_count_cap(self):
         # four disjoint 3-slot clauses: 3**4 = 81 minimal covers of size 4
