@@ -31,6 +31,7 @@ from typing import Callable, Collection, Iterable
 import numpy as np
 
 from .classifiers import Classifier, good_mask, good_points
+from .draws import below, sample_picks
 from .schema import EMPTY_RULE, Dataset, DatasetSchema, Instance, Rule, SchemaError
 
 
@@ -387,13 +388,16 @@ class CounterfactualEngine:
         # every generation counts, since finding one makes goods non-empty
         stall = 0
 
+        # sample_picks and below make rng.sample's, rng.choice's and
+        # rng.randrange's draws (see draws)
+        getrandbits = rng.getrandbits
         for _generation in range(MAX_GENERATIONS):
             if stall >= (GOOD_STALL if goods else STALL_GENERATIONS):
                 break
             offspring = []
             for _ in range(POPULATION_SIZE):
                 if len(pop) >= 2 and rng.random() < 0.3:
-                    a, b = rng.sample(pop, 2)
+                    a, b = sample_picks(getrandbits, pop, 2)
                     if b not in changed:
                         changed[b] = [j for j, (u, v) in enumerate(zip(anchor, b)) if u != v]
                     child = list(a)
@@ -402,9 +406,9 @@ class CounterfactualEngine:
                             child[j] = b[j]
                     offspring.append(tuple(child))
                 else:
-                    parent = rng.choice(pop)
-                    j = rng.choice(mutable)
-                    offspring.append(replaced(parent, j, rng.randrange(len(box[j]) - 1)))
+                    parent = pop[below(getrandbits, len(pop))]
+                    j = mutable[below(getrandbits, len(mutable))]
+                    offspring.append(replaced(parent, j, below(getrandbits, len(box[j]) - 1)))
             evaluate(offspring)
             self.generations += 1
             stall = 0 if absorb(offspring) else stall + 1

@@ -56,11 +56,14 @@ def sample_satisfying(
     indices), uniform per feature."""
     if not all(box):
         raise SchemaError("rule admits no instance; nothing to sample")
-    cols = [
-        values[rng.integers(r.start, r.stop, size=s)]
-        for values, r in zip(schema.domain_arrays, box)
-    ]
-    return np.column_stack(cols)
+    samples = np.empty((s, len(box)))
+    for j, (values, r) in enumerate(zip(schema.domain_arrays, box)):
+        if len(r) == 1:
+            # numpy draws nothing for a one-value range: skipping it keeps the stream
+            samples[:, j] = values[r.start]
+        else:
+            samples[:, j] = values[rng.integers(r.start, r.stop, size=s)]
+    return samples
 
 
 def violations_in_data(rule: Rule, data: Dataset, model: Classifier) -> int:

@@ -9,6 +9,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ import numpy as np
 from .cf_engine import CfBudget, GoodAnchorError
 from .classifiers import Classifier, good_mask
 from .consistency import ConsistencyLevel, Level, sample_satisfying, violations_in_data
+from .draws import draw_full_sample, sample_picks
 from .duality import CounterfactualOracle, _rule_digest, cf_rules, derive_seed
 from .schema import (
     Dataset,
@@ -113,14 +115,17 @@ def rank_key(scored: ScoredRule) -> tuple:
 # The genetic operators work on slot masks (see ``schema.SlotCodec``). Slots
 # ascend in canonical component order, so sampling a mask's bit list draws
 # exactly the components a sample of the rule's sorted components would.
+# ``sample_picks`` and ``draw_full_sample`` make ``rng.sample``'s draws (see
+# ``draws``).
 
 def mutate(pop: Iterable[int], universe: int, m: int, rng: random.Random) -> list:
     """Per parent mask, up to ``m`` children each adding one slot of
     ``universe`` the parent lacks."""
+    getrandbits = rng.getrandbits
     children = []
     for parent in pop:
         complement = mask_bits(universe & ~parent)
-        for bit in rng.sample(complement, min(m, len(complement))):
+        for bit in sample_picks(getrandbits, complement, min(m, len(complement))):
             children.append(parent | bit)
     return children
 
@@ -129,13 +134,22 @@ def crossover(pop: Iterable[int], c: int, rng: random.Random) -> list:
     """Per unordered pair of masks, ``c`` children sampled from their union."""
     masks = list(pop)
     sizes = [mask.bit_count() for mask in masks]
+    getrandbits = rng.getrandbits
     children = []
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
-            union = mask_bits(masks[i] | masks[j])
-            t = min(max(sizes[i], sizes[j]) + 1, len(union))
-            for _ in range(c):
-                children.append(sum(rng.sample(union, t)))
+            union = masks[i] | masks[j]
+            size = union.bit_count()
+            t = min(max(sizes[i], sizes[j]) + 1, size)
+            if t == size:
+                # a sample of every slot is the union, whatever its order
+                for _ in range(c):
+                    draw_full_sample(getrandbits, t)
+                    children.append(union)
+            else:
+                bits = mask_bits(union)
+                for _ in range(c):
+                    children.append(sum(sample_picks(getrandbits, bits, t)))
     return children
 
 
@@ -174,11 +188,12 @@ class _Scorer:
 
     def rank(self, masks: Iterable[int], q: int) -> list:
         """Deduplicate and grade masks; the best ``q`` in ``rank_key`` order."""
-        unique = list(dict.fromkeys(masks))
+        unique = dict.fromkeys(masks)
         for mask in unique:
-            self.level(mask)
-        unique.sort(key=self._keys.__getitem__)
-        return unique[:q]
+            if mask not in self._levels:
+                self.level(mask)
+        # no two masks share a key, and nsmallest is sorted(...)[:q]
+        return heapq.nsmallest(q, unique, key=self._keys.__getitem__)
 
     def score(self, mask: int, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
         level = self.level(mask)

@@ -106,6 +106,34 @@ class TestConsistencyLevel:
         for j in range(3):
             assert set(samples[:, j]) <= set(self.schema.domain(j))
 
+    @pytest.mark.parametrize("s", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampling_matches_column_stack(self, s, seed):
+        """The preallocated fill, with its one-value ranges drawn from no
+        generator, gives the matrix and final generator state of stacking a
+        column of ``rng.integers`` draws per feature."""
+        schema = small_schema((1, 5, 9, 2, 7))
+        pick = random.Random(seed)
+        for _ in range(12):
+            box = []
+            for f in schema.features:
+                size = len(f.domain)
+                lo = pick.randrange(size)
+                hi = pick.choice((lo, size - 1, pick.randrange(lo, size)))
+                box.append(range(0, size) if pick.random() < 0.2 else range(lo, hi + 1))
+            ref_rng = np.random.default_rng([seed, s])
+            rng = np.random.default_rng([seed, s])
+            expected = np.column_stack([
+                values[ref_rng.integers(r.start, r.stop, size=s)]
+                for values, r in zip(schema.domain_arrays, box)
+            ])
+            got = sample_satisfying(schema, tuple(box), s, rng)
+            assert np.array_equal(got, expected)
+            assert got.dtype == expected.dtype
+            assert got.flags.c_contiguous == expected.flags.c_contiguous
+            assert got.flags.f_contiguous == expected.flags.f_contiguous
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_deterministic_per_seed(self):
         data = Dataset(self.schema, ((0.0, 3.0, 0.0),))
         rule = Rule((leq(0, 1),))

@@ -667,6 +667,29 @@ class TestMaskOperatorsMatchRuleReference:
         got = scorer.rank(masks + masks[:20], len(masks))
         assert [scorer.codec.rule(m) for m in got] == [sr.rule for sr in expected]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_keeps_the_sorted_prefix(self, seed):
+        """``rank`` takes its best ``q`` without a full sort; it equals the
+        dedupe-sort-slice it replaced, duplicates and equal fitness included."""
+        rng = random.Random(seed)
+        schema = small_schema((3, 4, 3, 4))
+        model = random_rule_model(schema, rng)
+        data = uniform_dataset(schema, 30, seed=seed)
+        x = find_bad_anchor(model, schema)
+        ref = _Scorer(model, data, s=50, seed=seed, x=x)
+        masks = [rng.randrange(ref.codec.full + 1) for _ in range(120)]
+        unique = list(dict.fromkeys(masks))
+        for mask in unique:
+            ref.level(mask)
+        expected = sorted(unique, key=ref._keys.__getitem__)
+        # masks of one cardinality and grade tie on fitness; the slots decide
+        assert len({ref._keys[m][:2] for m in unique}) < len(unique)
+        for q in (1, 50, len(unique) + 5):
+            # a fresh scorer grades every mask inside rank
+            scorer = _Scorer(model, data, s=50, seed=seed, x=x)
+            assert scorer.rank(masks, q) == expected[:q]
+            assert scorer.rank(masks[::-1], q) == expected[:q]
+
     def test_codec_round_trip_and_anchor_check(self):
         codec, pop = random_anchor_population(7, 0)
         for rule in pop:
