@@ -388,8 +388,6 @@ class CounterfactualEngine:
         # every generation counts, since finding one makes goods non-empty
         stall = 0
 
-        # sample_picks and below make rng.sample's, rng.choice's and
-        # rng.randrange's draws (see draws)
         getrandbits = rng.getrandbits
         for _generation in range(MAX_GENERATIONS):
             if stall >= (GOOD_STALL if goods else STALL_GENERATIONS):

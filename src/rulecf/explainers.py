@@ -115,8 +115,6 @@ def rank_key(scored: ScoredRule) -> tuple:
 # The genetic operators work on slot masks (see ``schema.SlotCodec``). Slots
 # ascend in canonical component order, so sampling a mask's bit list draws
 # exactly the components a sample of the rule's sorted components would.
-# ``sample_picks`` and ``draw_full_sample`` make ``rng.sample``'s draws (see
-# ``draws``).
 
 def mutate(pop: Iterable[int], universe: int, m: int, rng: random.Random) -> list:
     """Per parent mask, up to ``m`` children each adding one slot of
@@ -142,7 +140,8 @@ def crossover(pop: Iterable[int], c: int, rng: random.Random) -> list:
             size = union.bit_count()
             t = min(max(sizes[i], sizes[j]) + 1, size)
             if t == size:
-                # a sample of every slot is the union, whatever its order
+                # a sample of every slot is the union, whatever its order;
+                # most pairs of a converging population are such pairs
                 for _ in range(c):
                     draw_full_sample(getrandbits, t)
                     children.append(union)
@@ -190,8 +189,7 @@ class _Scorer:
         """Deduplicate and grade masks; the best ``q`` in ``rank_key`` order."""
         unique = dict.fromkeys(masks)
         for mask in unique:
-            if mask not in self._levels:
-                self.level(mask)
+            self.level(mask)
         # no two masks share a key, and nsmallest is sorted(...)[:q]
         return heapq.nsmallest(q, unique, key=self._keys.__getitem__)
 
