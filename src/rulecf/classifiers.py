@@ -163,41 +163,53 @@ class TreeClassifier(Classifier):
                 raise SchemaError(f"unexpected tree entry {node!r}")
         # every path from the root must terminate at a leaf, with no cycles; an
         # explicit stack walks it, so a deep chain cannot exhaust the recursion
-        # limit, and the "open" nodes, not yet closed by their (nid, True)
-        # entry, are the path from the root
-        state: dict = {}
+        # limit. A node is indexed when the walk opens it and gets its height
+        # when its (nid, True) entry closes it, so the nodes indexed but not
+        # yet closed are the path from the root, and a subtree shared by two
+        # parents is measured once. The index lays the reachable nodes out as
+        # the flat arrays _score_batch reads.
+        index: dict = {}
+        height: dict = {}
         stack = [(self.ROOT, False)]
         while stack:
             nid, closing = stack.pop()
-            if closing or state.get(nid) == "done":
-                state[nid] = "done"
-            elif state.get(nid) == "open":
-                raise SchemaError(f"tree contains a cycle through node {nid}")
-            else:
-                state[nid] = "open"
+            node = self.nodes[nid]
+            if closing:
+                height[nid] = (
+                    1 + max(height[node.left], height[node.right])
+                    if isinstance(node, TreeNode) else 0
+                )
+            elif nid not in index:
+                index[nid] = len(index)
                 stack.append((nid, True))
-                node = self.nodes[nid]
                 if isinstance(node, TreeNode):
                     stack += [(node.right, False), (node.left, False)]
+            elif nid not in height:
+                raise SchemaError(f"tree contains a cycle through node {nid}")
+        size = len(index)
+        self._feature = np.zeros(size, dtype=np.intp)
+        self._threshold = np.zeros(size)
+        self._left = np.arange(size)  # a leaf is its own child on both sides
+        self._right = np.arange(size)
+        self._score = np.zeros(size)
+        for nid, i in index.items():
+            node = self.nodes[nid]
+            if isinstance(node, TreeNode):
+                self._feature[i], self._threshold[i] = node.feature, node.threshold
+                self._left[i], self._right[i] = index[node.left], index[node.right]
+            else:
+                self._score[i] = node.score
+        self._height = height[self.ROOT]
 
     def _score_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X), dtype=np.float64)
-        # an explicit stack, not a recursive closure: a closure that refers
-        # to itself is a reference cycle, and it would keep X and out alive
-        # until the garbage collector runs
-        stack = [(self.ROOT, np.arange(len(X)))]
-        while stack:
-            nid, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            node = self.nodes[nid]
-            if isinstance(node, TreeLeaf):
-                out[idx] = node.score
-                continue
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        # all rows descend one level per step; a row at a leaf stays there,
+        # and after the longest root-to-leaf path every row is at its leaf
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(self._height):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        return self._score[node]
 
 
 class NetClassifier(Classifier):

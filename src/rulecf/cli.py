@@ -182,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rule-based explanations for black-box tabular classifiers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    d = SearchParams()
 
     def add_search_flags(p):
-        d = SearchParams()
         p.add_argument("--q", type=int, default=d.q, help="population kept per iteration")
         p.add_argument("--k", type=int, default=d.k, help="rules returned")
         p.add_argument("--s", type=int, default=d.s, help="consistency samples per rule")
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="sample")
     p_verify.add_argument("--instance", type=int, default=None,
                           help="anchor row (required for --mode cf)")
-    p_verify.add_argument("--s", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--s", type=int, default=d.s)
+    p_verify.add_argument("--seed", type=int, default=d.seed)
     p_verify.add_argument("--group", action="append", metavar="NAME=c1,c2,...")
     p_verify.set_defaults(func=cmd_verify)
     return parser

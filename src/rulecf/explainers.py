@@ -9,6 +9,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 import time
@@ -158,6 +159,15 @@ class _Scorer:
     Database violations are counted through per-slot bitsets over the good
     rows of the dataset, so grading a rule needs no classifier calls unless
     it survives the database and requires sampling.
+
+    Ranking grades a candidate that needs sampling only while it can still
+    enter the top ``q``. A mask free of database violations ranks at best
+    as a GC rule of its cardinality, which is exactly its key when none of
+    its samples is good; once ``q`` graded masks rank above that bound, the
+    mask cannot enter (Fagin, Lotem and Naor's Threshold Algorithm). Each
+    grade is seeded by the rule alone, so the kept list is the one a scorer
+    grading every mask would keep, and a run's ``classifier_calls`` count
+    only the rules it graded.
     """
 
     def __init__(self, model: Classifier, data: Dataset, s: int, seed: int, x: Instance):
@@ -171,12 +181,22 @@ class _Scorer:
         self._slot_rows, self._all_good = self.codec.row_bits(good_rows)
         self._levels: dict = {}
         self._keys: dict = {}
+        gc = ConsistencyLevel(Level.GC)
+        n = self.schema.n
+        # the negated fitness of a GC rule, by cardinality: a bound no grade beats
+        self._gc_scores = [-fitness(card, n, gc, data.m, s) for card in range(2 * n + 1)]
 
-    def level(self, mask: int) -> ConsistencyLevel:
+    def _screen(self, mask: int) -> tuple:
+        """The slots of ``mask`` and the good database rows in its box."""
+        slots = mask_slots(mask)
+        return slots, rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
+
+    def level(self, mask: int, screened: Optional[tuple] = None) -> ConsistencyLevel:
+        """The grade of ``mask``, computed once; ``screened`` is its
+        ``_screen`` when the caller has it already."""
         level = self._levels.get(mask)
         if level is None:
-            slots = mask_slots(mask)
-            vd = rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
+            slots, vd = screened or self._screen(mask)
             components = self.codec.components_of(mask)
             level = _graded(vd, components, self.model, self.schema, self.s, self.seed)
             score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
@@ -186,12 +206,33 @@ class _Scorer:
         return level
 
     def rank(self, masks: Iterable[int], q: int) -> list:
-        """Deduplicate and grade masks; the best ``q`` in ``rank_key`` order."""
+        """Deduplicate masks; the best ``q`` in ``rank_key`` order.
+
+        Masks graded before and masks with database violations are graded
+        first. The others go in ascending order of their GC key, the best key
+        each can reach, and grading stops at the first whose GC key lies
+        above the ``q``-th best key known: none after it can enter."""
+        keys = self._keys
         unique = dict.fromkeys(masks)
+        bounded = []
         for mask in unique:
-            self.level(mask)
+            if mask not in keys:
+                slots, vd = screened = self._screen(mask)
+                if vd:
+                    self.level(mask, screened)
+                else:
+                    card = len(slots)
+                    bounded.append(((-int(Level.GC), self._gc_scores[card], card, slots), mask))
         # no two masks share a key, and nsmallest is sorted(...)[:q]
-        return heapq.nsmallest(q, unique, key=self._keys.__getitem__)
+        top = heapq.nsmallest(q, filter(keys.__contains__, unique), key=keys.__getitem__)
+        bounded.sort()
+        for bound, mask in bounded:
+            if len(top) == q and bound > keys[top[-1]]:
+                break
+            self.level(mask, (bound[3], 0))
+            bisect.insort(top, mask, key=keys.__getitem__)
+            del top[q:]
+        return top
 
     def score(self, mask: int, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
         level = self.level(mask)

@@ -1,3 +1,4 @@
+import random
 import threading
 
 import numpy as np
@@ -16,7 +17,7 @@ from rulecf import (
 )
 from rulecf.classifiers import TreeLeaf, TreeNode
 
-from conftest import random_net, random_tree, small_schema
+from conftest import all_instances, random_net, random_tree, small_schema
 
 
 class TestRuleClassifier:
@@ -67,6 +68,39 @@ class TestTreeClassifier:
         rows = all_instances(schema)
         expected = [walk(model, r) for r in rows]
         assert list(model.predict_batch(rows)) == expected
+        assert [model.predict(r) for r in rows] == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_agrees_with_walk_on_unbalanced_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        schema = small_schema((5, 4, 6))
+        model = random_tree(schema, random.Random(seed), depth=6)
+        # off-grid values and exact thresholds both reach the <= test
+        rows = np.vstack([
+            np.array(all_instances(schema), dtype=float),
+            rng.uniform(-1.0, 6.0, size=(200, 3)),
+        ])
+        expected = [walk(model, r) for r in rows]
+        assert model.predict_batch(rows).tolist() == expected
+        assert model.predict_batch(rows[:0]).tolist() == []
+
+    def test_shared_subtree_scores_every_path(self):
+        # node 5 is the left child of the root and, three levels down, of
+        # node 4; the deepest leaf lies below it on the longer path
+        nodes = {
+            0: TreeNode(0, 0.0, 5, 2),
+            2: TreeNode(1, 0.0, 6, 3),
+            3: TreeNode(1, 1.0, 7, 4),
+            4: TreeNode(1, 2.0, 5, 8),
+            5: TreeNode(2, 0.0, 9, 10),
+            6: TreeLeaf(0.1), 7: TreeLeaf(0.2), 8: TreeLeaf(0.3),
+            9: TreeLeaf(0.6), 10: TreeLeaf(0.9),
+        }
+        model = TreeClassifier(nodes, 3)
+        rows = [(a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0, 2.0, 3.0) for c in (0.0, 1.0)]
+        expected = [walk(model, r) for r in rows]
+        assert sorted(set(expected)) == [0.1, 0.2, 0.3, 0.6, 0.9]
+        assert model.predict_batch(rows).tolist() == expected
         assert [model.predict(r) for r in rows] == expected
 
     def test_deep_chain_loads_and_scores(self):

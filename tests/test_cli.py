@@ -267,3 +267,11 @@ class TestSynthetic:
 ])
 def test_search_flag_defaults_are_search_params_defaults(argv):
     assert _search_params(build_parser().parse_args(argv)) == SearchParams()
+
+
+def test_verify_defaults_are_search_params_defaults():
+    args = build_parser().parse_args(
+        ["verify", "--data", "d.csv", "--model", "m.txt", "--rule", "r.txt"]
+    )
+    d = SearchParams()
+    assert (args.s, args.seed) == (d.s, d.seed)

@@ -685,7 +685,7 @@ class TestMaskOperatorsMatchRuleReference:
         # masks of one cardinality and grade tie on fitness; the slots decide
         assert len({ref._keys[m][:2] for m in unique}) < len(unique)
         for q in (1, 50, len(unique) + 5):
-            # a fresh scorer grades every mask inside rank
+            # a fresh scorer: nothing graded before this rank
             scorer = _Scorer(model, data, s=50, seed=seed, x=x)
             assert scorer.rank(masks, q) == expected[:q]
             assert scorer.rank(masks[::-1], q) == expected[:q]
@@ -713,3 +713,75 @@ class TestMaskOperatorsMatchRuleReference:
             bits = mask_bits(mask)
             assert bits == [1 << k for k in range(mask.bit_length()) if mask >> k & 1]
             assert mask_slots(mask) == tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def graded_in_full(model, data, x, s, seed):
+    """A scorer that has graded every mask anchored at ``x``, its
+    classifier calls for that, and the masks in ``rank_key`` order."""
+    scorer = _Scorer(model, data, s=s, seed=seed, x=x)
+    calls = model.calls
+    masks = list(range(scorer.codec.full + 1))
+    for mask in masks:
+        scorer.level(mask)
+    return scorer, model.calls - calls, sorted(masks, key=scorer._keys.__getitem__)
+
+
+class TestRankBound:
+    """``rank`` stops grading sampled masks once their GC keys cannot enter
+    the top ``q``; what it returns is the prefix a full grading gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("history", ["uniform", "all-bad"])
+    def test_rank_equals_the_fully_graded_prefix(self, seed, history):
+        rng = random.Random(seed)
+        schema = small_schema((3, 4, 3, 4))
+        model = random_rule_model(schema, rng)
+        x = find_bad_anchor(model, schema)
+        if history == "uniform":
+            data = uniform_dataset(schema, 30, seed=seed)
+        else:
+            data = box_dataset(schema, model.rule, 30, seed=seed)
+        ref, _, order = graded_in_full(model, data, x, 40, seed)
+        pools = [[rng.randrange(ref.codec.full + 1) for _ in range(50)] for _ in range(3)]
+        for q in range(1, len(set(pools[0])) + 2):
+            # one scorer for all pools: masks graded for an earlier pool
+            # compete with masks not graded yet
+            scorer = _Scorer(model, data, s=40, seed=seed, x=x)
+            for pool in pools + pools[:1]:
+                assert scorer.rank(pool, q) == [m for m in order if m in set(pool)][:q]
+            assert all(scorer._levels[m] == ref.level(m) for m in scorer._levels)
+
+    def setup_method(self):
+        self.schema = small_schema((4, 4, 4))
+        self.model = RuleClassifier(Rule((leq(0, 1), geq(1, 2))), 3)
+        self.anchor = (0.0, 3.0, 2.0)
+        # every row lies in the rule's box: no mask has a database violation
+        self.data = box_dataset(self.schema, self.model.rule, 60, seed=4)
+
+    def test_an_all_bad_history_grades_fewer_masks(self):
+        ref, full_calls, order = graded_in_full(self.model, self.data, self.anchor, 100, 0)
+        assert all(ref.level(m).vd == 0 for m in order)
+        scorer = _Scorer(self.model, self.data, s=100, seed=0, x=self.anchor)
+        calls = self.model.calls
+        assert scorer.rank(order[::-1], 3) == order[:3]
+        assert self.model.calls - calls < full_calls
+        assert len(scorer._levels) < len(order)
+
+    def test_a_pruned_mask_is_graded_once_a_later_pool_needs_it(self):
+        ref, _, order = graded_in_full(self.model, self.data, self.anchor, 100, 0)
+        scorer = _Scorer(self.model, self.data, s=100, seed=0, x=self.anchor)
+        top = scorer.rank(order[::-1], 3)
+        pruned = [m for m in order if m not in scorer._levels]
+        assert pruned
+        # the same pool again grades nothing more
+        calls = self.model.calls
+        assert scorer.rank(order, 3) == top
+        assert self.model.calls == calls
+        # without the top, the masks next in line enter and are graded
+        rest = order[3:]
+        assert scorer.rank(rest, 3) == rest[:3]
+        assert any(m in pruned for m in rest[:3])
+        # alone in a pool, a pruned mask is graded as a full grading grades it
+        for mask in pruned:
+            assert scorer.rank([mask, order[0]], 2) == [order[0], mask]
+            assert scorer.level(mask) == ref.level(mask)
