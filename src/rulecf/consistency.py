@@ -49,21 +49,19 @@ class ConsistencyLevel:
         return cls(Level.GC, 0, 0)
 
 
-def sample_satisfying(
-    schema: DatasetSchema, box: Sequence[range], s: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``s`` instances of a box (``DatasetSchema.box`` ranges of domain
-    indices), uniform per feature."""
+def sample_satisfying(schema: DatasetSchema, box: Sequence[range], u: np.ndarray) -> np.ndarray:
+    """The instances of a box (``DatasetSchema.box`` ranges of domain
+    indices) that a matrix ``u`` of uniforms in ``[0, 1)``, one row per
+    instance and one column per feature, picks: column ``j`` takes domain
+    index ``start_j + floor(u[:, j] * len_j)``, one gather for all columns.
+    ``floor(u * len) <= len - 1`` holds in float64 for every ``u < 1``, so
+    every pick lies inside the box."""
     if not all(box):
         raise SchemaError("rule admits no instance; nothing to sample")
-    samples = np.empty((s, len(box)))
-    for j, (values, r) in enumerate(zip(schema.domain_arrays, box)):
-        if len(r) == 1:
-            # numpy draws nothing for a one-value range: skipping it keeps the stream
-            samples[:, j] = values[r.start]
-        else:
-            samples[:, j] = values[rng.integers(r.start, r.stop, size=s)]
-    return samples
+    values, starts = schema.domain_table
+    picks = (u * [len(r) for r in box]).astype(np.intp)
+    picks += starts + [r.start for r in box]
+    return values[picks]
 
 
 def violations_in_data(rule: Rule, data: Dataset, model: Classifier) -> int:

@@ -10,10 +10,7 @@ return the same values and leave it in the same state as the stdlib calls
 - ``below(getrandbits, n)`` is ``Random._randbelow(n)``, so
   ``seq[below(getrandbits, len(seq))]`` is ``choice(seq)`` and
   ``below(getrandbits, w)`` is ``randrange(w)``;
-- ``sample_picks(getrandbits, population, k)`` is ``sample(population, k)``;
-- ``draw_full_sample(getrandbits, n)`` makes the draws of ``sample`` taking
-  all ``n`` items of a population, for a caller that needs only the set of
-  picks, which is the whole population.
+- ``sample_picks(getrandbits, population, k)`` is ``sample(population, k)``.
 """
 
 from __future__ import annotations
@@ -62,10 +59,3 @@ def sample_picks(getrandbits: Callable[[int], int], population: Sequence, k: int
         result.append(population[j])
     return result
 
-
-def draw_full_sample(getrandbits: Callable[[int], int], n: int) -> None:
-    """Advance the generator as ``sample(population, n)`` does for an
-    ``n``-item population: at ``k == n`` an ``n``-list is never larger than a
-    ``k``-set, so the pool draws ``below(i)`` for ``i = n, ..., 1``."""
-    for i in range(n, 0, -1):
-        below(getrandbits, i)

@@ -22,8 +22,8 @@ import numpy as np
 from .cf_engine import CfBudget, GoodAnchorError
 from .classifiers import Classifier, good_mask
 from .consistency import ConsistencyLevel, Level, sample_satisfying, violations_in_data
-from .draws import draw_full_sample, sample_picks
-from .duality import CounterfactualOracle, _rule_digest, cf_rules, derive_seed
+from .draws import sample_picks
+from .duality import CounterfactualOracle, cf_rules, derive_seed
 from .schema import (
     Dataset,
     Instance,
@@ -130,7 +130,8 @@ def mutate(pop: Iterable[int], universe: int, m: int, rng: random.Random) -> lis
 
 
 def crossover(pop: Iterable[int], c: int, rng: random.Random) -> list:
-    """Per unordered pair of masks, ``c`` children sampled from their union."""
+    """Per unordered pair of masks, ``c`` children sampled from their union.
+    A pair whose child must hold every slot of the union draws nothing."""
     masks = list(pop)
     sizes = [mask.bit_count() for mask in masks]
     getrandbits = rng.getrandbits
@@ -141,11 +142,8 @@ def crossover(pop: Iterable[int], c: int, rng: random.Random) -> list:
             size = union.bit_count()
             t = min(max(sizes[i], sizes[j]) + 1, size)
             if t == size:
-                # a sample of every slot is the union, whatever its order;
                 # most pairs of a converging population are such pairs
-                for _ in range(c):
-                    draw_full_sample(getrandbits, t)
-                    children.append(union)
+                children.extend([union] * c)
             else:
                 bits = mask_bits(union)
                 for _ in range(c):
@@ -164,18 +162,23 @@ class _Scorer:
     enter the top ``q``. A mask free of database violations ranks at best
     as a GC rule of its cardinality, which is exactly its key when none of
     its samples is good; once ``q`` graded masks rank above that bound, the
-    mask cannot enter (Fagin, Lotem and Naor's Threshold Algorithm). Each
-    grade is seeded by the rule alone, so the kept list is the one a scorer
-    grading every mask would keep, and a run's ``classifier_calls`` count
-    only the rules it graded.
+    mask cannot enter (Fagin, Lotem and Naor's Threshold Algorithm). A
+    grade depends only on the box and the run's seed, never on what was
+    graded before, so the kept list is the one a scorer grading every mask
+    would keep, and a run's ``classifier_calls`` count only the rules it
+    graded.
+
+    Every sampled grade reads the same uniform matrix, drawn once per run
+    (``_grading_uniforms``): sibling rules are compared on common random
+    numbers.
     """
 
     def __init__(self, model: Classifier, data: Dataset, s: int, seed: int, x: Instance):
         self.model = model
         self.data = data
         self.s = s
-        self.seed = seed
         self.schema = data.schema
+        self._u = _grading_uniforms(seed, s, self.schema.n)
         self.codec = SlotCodec(x)
         good_rows = data.matrix[good_mask(model.predict_batch(data.matrix))]
         self._slot_rows, self._all_good = self.codec.row_bits(good_rows)
@@ -198,7 +201,7 @@ class _Scorer:
         if level is None:
             slots, vd = screened or self._screen(mask)
             components = self.codec.components_of(mask)
-            level = _graded(vd, components, self.model, self.schema, self.s, self.seed)
+            level = _graded(vd, components, self.model, self.schema, self._u)
             score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
             self._levels[mask] = level
             # rank_key's order on masks: slots ascend like sorted components
@@ -245,29 +248,36 @@ def consistency_level(
 ) -> ConsistencyLevel:
     """Grade a rule: database violations first, then ``s`` sampled instances.
 
-    Sampling is seeded per rule (mixing ``seed`` with the rule itself), so the
-    grade does not depend on how many other rules were checked first. The
-    searches grade their candidate masks the same way (``_Scorer.level``).
+    The samples come from ``_grading_uniforms(seed, s, n)``, so the grade
+    depends only on the rule's box, ``seed`` and ``s``, not on which rules
+    were checked first. The searches grade their candidate masks on the same
+    matrix (``_Scorer.level``), so a rule grades the same here as there.
     """
     if s < 1:
         raise ValueError("sample count must be at least 1")
-    return _graded(violations_in_data(rule, data, model), rule, model, data.schema, s, seed)
+    u = _grading_uniforms(seed, s, data.schema.n)
+    return _graded(violations_in_data(rule, data, model), rule, model, data.schema, u)
 
 
-def _graded(vd, components, model, schema, s, seed) -> ConsistencyLevel:
+def _grading_uniforms(seed: int, s: int, n: int) -> np.ndarray:
+    """The ``(s, n)`` uniforms in ``[0, 1)`` that every sampled grade under
+    ``seed`` reads (``sample_satisfying``)."""
+    return np.random.default_rng(derive_seed(seed, "vs")).random((s, n))
+
+
+def _graded(vd, components, model, schema, u) -> ConsistencyLevel:
     """The grade of a rule with ``vd`` database violations: FDC if it has
-    any, else by the good outcomes among ``s`` instances drawn from the box of
-    ``components`` (a ``Rule`` or its components in canonical order), seeded
-    by ``seed`` and the components. An empty box holds no instance: it grades
-    GC, with nothing drawn and no classifier call."""
+    any, else by the good outcomes among the instances that the uniform
+    matrix ``u`` picks from the box of ``components`` (a ``Rule`` or its
+    components in canonical order), one per row. An empty box holds no
+    instance: it grades GC, with nothing drawn and no classifier call."""
     if vd:
         return ConsistencyLevel.from_counts(vd, 0)
     box = schema.box(components)
     if not all(box):
         return ConsistencyLevel(Level.GC)
-    rng = np.random.default_rng(derive_seed(seed, "vs", _rule_digest(components)))
     # a module-level name here: bench/tracing.py counts sampled rules by rebinding it
-    samples = sample_satisfying(schema, box, s, rng)
+    samples = sample_satisfying(schema, box, u)
     vs = int(np.count_nonzero(good_mask(model.predict_batch(samples))))
     return ConsistencyLevel.from_counts(0, vs)
 

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Classifier, RuleClassifier, good_points
-from .consistency import Level, sample_satisfying
+from .consistency import Level
 from .duality import CounterfactualOracle, derive_seed
 from .explainers import (
     ExplanationResult,
@@ -58,8 +58,7 @@ def default_experiment_schema(features: int = 12) -> DatasetSchema:
 def synthetic_dataset(schema: DatasetSchema, rows: int, seed: int = 0) -> Dataset:
     """Rows drawn per feature uniformly from the schema domains."""
     rng = np.random.default_rng(derive_seed(seed, "dataset"))
-    matrix = sample_satisfying(schema, schema.box(EMPTY_RULE), rows, rng)
-    return Dataset(schema, tuple(map(tuple, matrix.tolist())))
+    return _box_rows(schema, schema.box(EMPTY_RULE), rows, rng)
 
 
 def box_dataset(schema: DatasetSchema, rule: Rule, rows: int, seed: int = 0) -> Dataset:
@@ -69,7 +68,21 @@ def box_dataset(schema: DatasetSchema, rule: Rule, rows: int, seed: int = 0) -> 
     of past denials, every row satisfies the ground-truth rule.
     """
     rng = np.random.default_rng(derive_seed(seed, "box-dataset"))
-    matrix = sample_satisfying(schema, schema.box(rule), rows, rng)
+    return _box_rows(schema, schema.box(rule), rows, rng)
+
+
+def _box_rows(schema: DatasetSchema, box: Sequence[range], rows: int, rng) -> Dataset:
+    """A dataset of ``rows`` instances of a box, one ``rng.integers`` column
+    per feature that has more than one value (numpy draws nothing for a
+    one-value range, so skipping it keeps the stream)."""
+    if not all(box):
+        raise SchemaError("rule admits no instance; nothing to sample")
+    matrix = np.empty((rows, len(box)))
+    for j, (values, r) in enumerate(zip(schema.domain_arrays, box)):
+        if len(r) == 1:
+            matrix[:, j] = values[r.start]
+        else:
+            matrix[:, j] = values[rng.integers(r.start, r.stop, size=rows)]
     return Dataset(schema, tuple(map(tuple, matrix.tolist())))
 
 

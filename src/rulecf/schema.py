@@ -211,6 +211,14 @@ class DatasetSchema:
         """Each feature's domain as an ascending float64 array."""
         return tuple(np.asarray(f.domain, dtype=np.float64) for f in self.features)
 
+    @cached_property
+    def domain_table(self) -> tuple:
+        """All domains end to end as one float64 array, and the position
+        of each feature's first value in it."""
+        sizes = [len(values) for values in self.domain_arrays]
+        starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        return np.concatenate((np.empty(0),) + self.domain_arrays), starts
+
     def box(self, components: Iterable[RuleComponent]) -> tuple:
         """Per feature, the ``range`` of domain indices the bounds of
         ``components`` (a ``Rule`` or any iterable of its components) admit.

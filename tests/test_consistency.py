@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -98,22 +99,38 @@ class TestConsistencyLevel:
 
     def test_sampling_stays_inside_rule_box(self):
         rule = Rule((leq(0, 1), geq(2, 2)))
-        rng = np.random.default_rng(7)
-        samples = sample_satisfying(self.schema, self.schema.box(rule), 200, rng)
+        u = np.random.default_rng(7).random((200, 3))
+        samples = sample_satisfying(self.schema, self.schema.box(rule), u)
         assert samples.shape == (200, 3)
         assert (samples[:, 0] <= 1).all()
         assert (samples[:, 2] >= 2).all()
         for j in range(3):
             assert set(samples[:, j]) <= set(self.schema.domain(j))
 
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_gather_stays_inside_every_range_length(self, u):
+        """``floor(u * len)`` at the extreme uniforms stays in ``[0, len)``
+        for every range length up to 4,096, so no pick leaves its box."""
+        lengths = np.arange(1, 4097)
+        schema = make_schema([[float(v) for v in range(5000)]])
+        values, _ = schema.domain_table
+        for start in (0, 3, 903):
+            got = np.array([
+                sample_satisfying(schema, (range(start, start + n),), np.full((1, 1), u))[0, 0]
+                for n in lengths
+            ])
+            expected = start + (lengths - 1) * (u > 0.0)
+            assert np.array_equal(got, values[expected])
+
     @pytest.mark.parametrize("s", [1, 7, 1000])
     @pytest.mark.parametrize("seed", range(3))
-    def test_sampling_matches_column_stack(self, s, seed):
-        """The preallocated fill, with its one-value ranges drawn from no
-        generator, gives the matrix and final generator state of stacking a
-        column of ``rng.integers`` draws per feature."""
+    def test_gather_matches_per_column_reference(self, s, seed):
+        """One gather from the flat domain table equals picking each column
+        on its own, ``domain_j[start_j + floor(u_ij * len_j)]`` in Python
+        integers, one-value ranges and full domains included."""
         schema = small_schema((1, 5, 9, 2, 7))
         pick = random.Random(seed)
+        u = np.random.default_rng([seed, s]).random((s, schema.n))
         for _ in range(12):
             box = []
             for f in schema.features:
@@ -121,18 +138,14 @@ class TestConsistencyLevel:
                 lo = pick.randrange(size)
                 hi = pick.choice((lo, size - 1, pick.randrange(lo, size)))
                 box.append(range(0, size) if pick.random() < 0.2 else range(lo, hi + 1))
-            ref_rng = np.random.default_rng([seed, s])
-            rng = np.random.default_rng([seed, s])
-            expected = np.column_stack([
-                values[ref_rng.integers(r.start, r.stop, size=s)]
-                for values, r in zip(schema.domain_arrays, box)
+            expected = np.array([
+                [f.domain[r.start + math.floor(float(u[i, j]) * len(r))]
+                 for j, (f, r) in enumerate(zip(schema.features, box))]
+                for i in range(s)
             ])
-            got = sample_satisfying(schema, tuple(box), s, rng)
+            got = sample_satisfying(schema, tuple(box), u)
             assert np.array_equal(got, expected)
-            assert got.dtype == expected.dtype
-            assert got.flags.c_contiguous == expected.flags.c_contiguous
-            assert got.flags.f_contiguous == expected.flags.f_contiguous
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert got.dtype == np.float64 and got.shape == (s, schema.n)
 
     def test_deterministic_per_seed(self):
         data = Dataset(self.schema, ((0.0, 3.0, 0.0),))
@@ -158,7 +171,7 @@ class TestConsistencyLevel:
     def test_sampling_an_empty_box_still_raises(self):
         rule = Rule((geq(0, 3), leq(0, 1)))
         with pytest.raises(SchemaError, match="admits no instance"):
-            sample_satisfying(self.schema, self.schema.box(rule), 10, np.random.default_rng(0))
+            sample_satisfying(self.schema, self.schema.box(rule), np.zeros((10, 3)))
 
 
 class TestBruteForce:

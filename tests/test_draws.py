@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from rulecf.draws import below, draw_full_sample, sample_picks
+from rulecf.draws import below, sample_picks
 
 SEEDS = (0, 1, 7, 12345)
 
@@ -30,15 +30,6 @@ def test_sample_picks_is_random_sample(seed):
         population = list(range(n))
         ref, rng = random.Random(seed + 1000 * n + k), random.Random(seed + 1000 * n + k)
         assert sample_picks(rng.getrandbits, population, k) == ref.sample(population, k)
-        assert rng.getstate() == ref.getstate()
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_full_sample_draws_as_random_sample(seed):
-    for n in range(49):
-        ref, rng = random.Random(seed + n), random.Random(seed + n)
-        ref.sample(list(range(n)), n)
-        draw_full_sample(rng.getrandbits, n)
         assert rng.getstate() == ref.getstate()
 
 

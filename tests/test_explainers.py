@@ -599,7 +599,8 @@ def rule_mutate(pop, universe, m, rng):
 
 
 def rule_crossover(pop, c, rng):
-    """Reference: crossover on Rules, as written before the search used masks."""
+    """Reference: crossover on Rules, as written before the search used masks,
+    except that a pair whose child must take its whole union draws nothing."""
     rules = list(pop)
     children = []
     for i in range(len(rules)):
@@ -610,7 +611,8 @@ def rule_crossover(pop, c, rng):
             )
             t = min(max(a.cardinality, b.cardinality) + 1, len(union))
             for _ in range(c):
-                children.append(Rule(tuple(rng.sample(union, t))))
+                picks = union if t == len(union) else rng.sample(union, t)
+                children.append(Rule(tuple(picks)))
     return children
 
 
@@ -639,6 +641,17 @@ class TestMaskOperatorsMatchRuleReference:
             got = crossover([codec.mask(r) for r in pop], c, rng)
             assert [codec.rule(child) for child in got] == expected
             assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_forced_children_draw_nothing(self, c):
+        # over three slots no union exceeds the larger parent by two slots,
+        # so every pair's child is its union
+        pop = list(range(8))
+        rng = random.Random(c)
+        state = rng.getstate()
+        expected = [a | b for i, a in enumerate(pop) for b in pop[i + 1:] for _ in range(c)]
+        assert crossover(pop, c, rng) == expected
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("n", [2, 7, 12])
     @pytest.mark.parametrize("seed", range(4))

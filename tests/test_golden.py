@@ -12,7 +12,7 @@ first). Its ``gen`` run never converges and stops at ``--max-iterations 40``
 with the default ``q=50``, so the output pins the crossover and mutation
 draws over many full-population iterations. Its ``gen-cf`` and ``greedy-cf``
 runs grow rules from the dual clauses of 12-feature anchors (``gen-cf``
-expands parents 160 times over 25 distinct clause families), so these
+expands parents 160 times over 28 distinct clause families), so these
 outputs pin the clauses, their covers and the rules grown from them.
 
 ``explain_rule12_greedy-cf_capped.txt`` is the only text-format golden: a
@@ -30,12 +30,14 @@ A change that alters these outputs on purpose re-records the files by running
 the argv below and says why in its change log.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
-from rulecf import CfBudget, duality, ingest_csv
+from rulecf import CfBudget, consistency_level, duality, ingest_csv, load_model, load_rule_file
 from rulecf.cli import main
+from rulecf.explainers import _Scorer
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -110,7 +112,7 @@ def test_rule12_gen_cf_enumerates_covers_once_per_family(monkeypatch, capsys):
     ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "explain_rule12_gen-cf.json").read_text()
-    assert len(families) == len(set(families)) == 25
+    assert len(families) == len(set(families)) == 28
 
 
 def test_synthetic_report_matches_golden(tmp_path, capsys):
@@ -134,3 +136,38 @@ def test_verify_rule12_matches_golden(mode, capsys):
     ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"verify_rule12_{mode}.txt").read_text()
+
+
+@pytest.mark.parametrize("s", [300, 1000])
+def test_verify_rule_grades_the_same_everywhere(s, capsys):
+    """One ``(rule, seed, s)`` has one sampled grade: from
+    ``consistency_level``, from a search's scorer whatever it graded before,
+    and from ``verify --mode sample``."""
+    data = ingest_csv(GOLDEN / "rule12_data.csv")
+    model = load_model(GOLDEN / "rule12_model.txt")
+    rule = load_rule_file(GOLDEN / "rule12_verify_rule.txt", data.schema)
+    expected = consistency_level(rule, data, model, s=s, seed=3)
+    assert expected.vs > 0  # the samples decide this grade
+
+    argv = [
+        "verify", "--data", str(GOLDEN / "rule12_data.csv"),
+        "--model", str(GOLDEN / "rule12_model.txt"),
+        "--rule", str(GOLDEN / "rule12_verify_rule.txt"),
+        "--mode", "sample", "--seed", "3", "--s", str(s),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"level=FGC vd=0 vs={expected.vs}\n"
+
+    anchor = data.instances[0]
+    pick = random.Random(s)
+    full = _Scorer(model, data, s=s, seed=3, x=anchor).codec.full
+    masks = [pick.randrange(full + 1) for _ in range(40)] + [full, 0]
+    grades = []
+    for _ in range(3):
+        scorer = _Scorer(model, data, s=s, seed=3, x=anchor)
+        target = scorer.codec.mask(rule)
+        order = masks + [target]
+        pick.shuffle(order)
+        grades.append({mask: scorer.level(mask) for mask in order})
+        assert grades[-1][target] == expected
+    assert grades[0] == grades[1] == grades[2]

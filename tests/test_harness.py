@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rulecf import (
@@ -24,10 +25,12 @@ from rulecf import (
 from rulecf.harness import (
     RealCategory,
     SyntheticCategory,
+    _box_rows,
     box_dataset,
     default_experiment_schema,
     synthetic_dataset,
 )
+from rulecf.duality import derive_seed
 
 from conftest import (
     all_instances,
@@ -358,3 +361,55 @@ class TestExperimentRunner:
         truth = Rule((leq(0, 2),))
         box = box_dataset(schema, truth, 25, seed=1)
         assert all(truth.evaluate(row) for row in box.instances)
+
+
+def column_stack_rows(schema, box, rows, rng):
+    """Reference: one ``rng.integers`` column per feature, stacked."""
+    return np.column_stack([
+        values[rng.integers(r.start, r.stop, size=rows)]
+        for values, r in zip(schema.domain_arrays, box)
+    ])
+
+
+class TestDatasetDraws:
+    """Histories keep their per-column ``rng.integers`` stream: the sampled
+    grader reads uniforms instead, and the benchmark builds its inputs with
+    these functions."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_box_rows_match_column_stack(self, rows, seed):
+        """The preallocated fill, with its one-value ranges drawn from no
+        generator, gives the matrix and final generator state of stacking a
+        column of ``rng.integers`` draws per feature."""
+        schema = small_schema((1, 5, 9, 2, 7))
+        pick = random.Random(seed)
+        for _ in range(12):
+            box = []
+            for f in schema.features:
+                size = len(f.domain)
+                lo = pick.randrange(size)
+                hi = pick.choice((lo, size - 1, pick.randrange(lo, size)))
+                box.append(range(0, size) if pick.random() < 0.2 else range(lo, hi + 1))
+            ref_rng = np.random.default_rng([seed, rows])
+            rng = np.random.default_rng([seed, rows])
+            expected = column_stack_rows(schema, box, rows, ref_rng)
+            got = _box_rows(schema, tuple(box), rows, rng)
+            assert np.array_equal(got.matrix, expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_builders_keep_the_column_stream(self, seed):
+        schema = default_experiment_schema(12)
+        truth = Rule((leq(0, 3), geq(4, 2), leq(7, 0), geq(11, 5)))
+        for data, tag, box in (
+            (synthetic_dataset(schema, 300, seed=seed), "dataset", schema.box(())),
+            (box_dataset(schema, truth, 300, seed=seed), "box-dataset", schema.box(truth)),
+        ):
+            rng = np.random.default_rng(derive_seed(seed, tag))
+            assert np.array_equal(data.matrix, column_stack_rows(schema, box, 300, rng))
+
+    def test_an_empty_box_has_no_rows(self):
+        schema = small_schema((4, 4))
+        with pytest.raises(SchemaError, match="admits no instance"):
+            box_dataset(schema, Rule((geq(0, 3), leq(0, 1))), 5)
