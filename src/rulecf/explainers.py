@@ -9,7 +9,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import random
 import time
@@ -104,7 +103,8 @@ def fitness(cardinality: int, n: int, level: ConsistencyLevel, m: int, s: int) -
 
 def rank_key(scored: ScoredRule) -> tuple:
     """Selection order: grade first, then score, then smaller rules, then
-    canonical component order. Grades never interleave."""
+    canonical component order. Grades never interleave. ``_Scorer.rank``
+    keeps this order after dropping clones."""
     return (
         -int(scored.level.level),
         -scored.score,
@@ -170,7 +170,8 @@ class _Scorer:
 
     Every sampled grade reads the same uniform matrix, drawn once per run
     (``_grading_uniforms``): sibling rules are compared on common random
-    numbers.
+    numbers. A component on a feature the model ignores then leaves ``vs``
+    unchanged, so ranking drops such clones of a rule (``rank``).
     """
 
     def __init__(self, model: Classifier, data: Dataset, s: int, seed: int, x: Instance):
@@ -209,33 +210,50 @@ class _Scorer:
         return level
 
     def rank(self, masks: Iterable[int], q: int) -> list:
-        """Deduplicate masks; the best ``q`` in ``rank_key`` order.
+        """Deduplicate masks and drop clones (``_clone``); the best ``q`` of
+        the rest in ``rank_key`` order.
 
-        Masks graded before and masks with database violations are graded
-        first. The others go in ascending order of their GC key, the best key
-        each can reach, and grading stops at the first whose GC key lies
-        above the ``q``-th best key known: none after it can enter."""
+        Masks are taken in ascending order of the best key each can reach:
+        its key once graded, else its GC key, which a mask free of database
+        violations is graded for only when it is reached. Taking stops at
+        the ``q``-th mask kept; the masks not reached cannot enter. Every GC
+        key lies before every sampled rule's key, so all masks of the pool
+        are graded by the first clone test."""
         keys = self._keys
-        unique = dict.fromkeys(masks)
-        bounded = []
-        for mask in unique:
+        pool = dict.fromkeys(masks)
+        heap = []
+        for mask in pool:
             if mask not in keys:
                 slots, vd = screened = self._screen(mask)
-                if vd:
-                    self.level(mask, screened)
-                else:
+                if not vd:
                     card = len(slots)
-                    bounded.append(((-int(Level.GC), self._gc_scores[card], card, slots), mask))
-        # no two masks share a key, and nsmallest is sorted(...)[:q]
-        top = heapq.nsmallest(q, filter(keys.__contains__, unique), key=keys.__getitem__)
-        bounded.sort()
-        for bound, mask in bounded:
-            if len(top) == q and bound > keys[top[-1]]:
-                break
-            self.level(mask, (bound[3], 0))
-            bisect.insort(top, mask, key=keys.__getitem__)
-            del top[q:]
+                    heap.append(((-int(Level.GC), self._gc_scores[card], card, slots), mask, False))
+                    continue
+                self.level(mask, screened)
+            heap.append((keys[mask], mask, True))
+        heapq.heapify(heap)
+        top = []
+        while heap and len(top) < q:
+            key, mask, graded = heapq.heappop(heap)
+            if not graded:
+                self.level(mask, (key[3], 0))
+                if keys[mask] != key:  # a sampled rule: back in at its own key
+                    heapq.heappush(heap, (keys[mask], mask, True))
+                    continue
+            if self._levels[mask].level is not Level.FGC or not self._clone(mask, pool):
+                top.append(mask)
         return top
+
+    def _clone(self, mask: int, pool) -> bool:
+        """A one-slot subset of the sampled rule ``mask`` in ``pool`` (all
+        graded) has its grade. On common random numbers a component on a
+        feature the model ignores leaves every sample's outcome and so ``vs``
+        unchanged: such a superset tells the search nothing its subset does
+        not, and kept, these copies of one rule would fill the population."""
+        level = self._levels[mask]
+        return any(
+            mask ^ bit in pool and self._levels[mask ^ bit] == level for bit in mask_bits(mask)
+        )
 
     def score(self, mask: int, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
         level = self.level(mask)

@@ -73,16 +73,13 @@ def box_dataset(schema: DatasetSchema, rule: Rule, rows: int, seed: int = 0) -> 
 
 def _box_rows(schema: DatasetSchema, box: Sequence[range], rows: int, rng) -> Dataset:
     """A dataset of ``rows`` instances of a box, one ``rng.integers`` column
-    per feature that has more than one value (numpy draws nothing for a
-    one-value range, so skipping it keeps the stream)."""
+    per feature."""
     if not all(box):
         raise SchemaError("rule admits no instance; nothing to sample")
-    matrix = np.empty((rows, len(box)))
-    for j, (values, r) in enumerate(zip(schema.domain_arrays, box)):
-        if len(r) == 1:
-            matrix[:, j] = values[r.start]
-        else:
-            matrix[:, j] = values[rng.integers(r.start, r.stop, size=rows)]
+    matrix = np.column_stack([
+        values[rng.integers(r.start, r.stop, size=rows)]
+        for values, r in zip(schema.domain_arrays, box)
+    ])
     return Dataset(schema, tuple(map(tuple, matrix.tolist())))
 
 

@@ -674,11 +674,10 @@ class TestMaskOperatorsMatchRuleReference:
         scorer = _Scorer(model, data, s=50, seed=seed, x=x)
         masks = list(range(scorer.codec.full + 1))  # every rule anchored at x
         rng.shuffle(masks)
-        expected = sorted(
-            (scorer.score(m) for m in masks), key=rank_key
-        )
+        ref = _Scorer(model, data, s=50, seed=seed, x=x)
+        expected = rank_order(ref, masks)
         got = scorer.rank(masks + masks[:20], len(masks))
-        assert [scorer.codec.rule(m) for m in got] == [sr.rule for sr in expected]
+        assert [scorer.codec.rule(m) for m in got] == [ref.codec.rule(m) for m in expected]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_keeps_the_sorted_prefix(self, seed):
@@ -692,9 +691,7 @@ class TestMaskOperatorsMatchRuleReference:
         ref = _Scorer(model, data, s=50, seed=seed, x=x)
         masks = [rng.randrange(ref.codec.full + 1) for _ in range(120)]
         unique = list(dict.fromkeys(masks))
-        for mask in unique:
-            ref.level(mask)
-        expected = sorted(unique, key=ref._keys.__getitem__)
+        expected = rank_order(ref, masks)
         # masks of one cardinality and grade tie on fitness; the slots decide
         assert len({ref._keys[m][:2] for m in unique}) < len(unique)
         for q in (1, 50, len(unique) + 5):
@@ -728,9 +725,24 @@ class TestMaskOperatorsMatchRuleReference:
             assert mask_slots(mask) == tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
+def rank_order(scorer, pool):
+    """``pool`` in ``_Scorer.rank`` order, every mask graded: deduplicated,
+    without the sampled rules that have the grade of a one-slot subset in
+    the pool (clones), in ``rank_key`` order."""
+    unique = set(pool)
+
+    def clone(mask):
+        level = scorer.level(mask)
+        return level.level is Level.FGC and any(
+            mask ^ bit in unique and scorer.level(mask ^ bit) == level for bit in mask_bits(mask)
+        )
+
+    return sorted((m for m in unique if not clone(m)), key=lambda m: rank_key(scorer.score(m)))
+
+
 def graded_in_full(model, data, x, s, seed):
     """A scorer that has graded every mask anchored at ``x``, its
-    classifier calls for that, and the masks in ``rank_key`` order."""
+    classifier calls for that, and those masks in ``rank_key`` order."""
     scorer = _Scorer(model, data, s=s, seed=seed, x=x)
     calls = model.calls
     masks = list(range(scorer.codec.full + 1))
@@ -761,7 +773,7 @@ class TestRankBound:
             # compete with masks not graded yet
             scorer = _Scorer(model, data, s=40, seed=seed, x=x)
             for pool in pools + pools[:1]:
-                assert scorer.rank(pool, q) == [m for m in order if m in set(pool)][:q]
+                assert scorer.rank(pool, q) == rank_order(ref, pool)[:q]
             assert all(scorer._levels[m] == ref.level(m) for m in scorer._levels)
 
     def setup_method(self):
@@ -776,7 +788,7 @@ class TestRankBound:
         assert all(ref.level(m).vd == 0 for m in order)
         scorer = _Scorer(self.model, self.data, s=100, seed=0, x=self.anchor)
         calls = self.model.calls
-        assert scorer.rank(order[::-1], 3) == order[:3]
+        assert scorer.rank(order[::-1], 3) == rank_order(ref, order)[:3]
         assert self.model.calls - calls < full_calls
         assert len(scorer._levels) < len(order)
 
@@ -791,10 +803,37 @@ class TestRankBound:
         assert scorer.rank(order, 3) == top
         assert self.model.calls == calls
         # without the top, the masks next in line enter and are graded
-        rest = order[3:]
-        assert scorer.rank(rest, 3) == rest[:3]
+        rest = rank_order(ref, order[3:])
+        assert scorer.rank(order[3:], 3) == rest[:3]
         assert any(m in pruned for m in rest[:3])
         # alone in a pool, a pruned mask is graded as a full grading grades it
         for mask in pruned:
-            assert scorer.rank([mask, order[0]], 2) == [order[0], mask]
+            pool = [mask, order[0]]
+            assert scorer.rank(pool, 2) == rank_order(ref, pool)
             assert scorer.level(mask) == ref.level(mask)
+
+    def test_clones_are_dropped(self):
+        """Features 2-5 do not enter the model: a component on one changes no
+        sample's outcome, so the superset grades exactly as its subset and
+        is dropped, though by fitness it would outrank other sampled rules;
+        lazily graded pools still rank as fully graded ones."""
+        schema = small_schema((4,) * 6)
+        model = RuleClassifier(Rule((leq(0, 1), geq(1, 2))), 6)
+        anchor = (0.0, 3.0, 2.0, 2.0, 2.0, 2.0)
+        data = box_dataset(schema, model.rule, 60, seed=4)
+        ref = _Scorer(model, data, s=100, seed=0, x=anchor)
+        pool = [m for m in range(ref.codec.full + 1) if m.bit_count() <= 3]
+        ignored = [bit for bit in mask_bits(ref.codec.full)
+                   if ref.codec.rule(bit).components[0].feature >= 2]
+        sampled = [m for m in pool if ref.level(m).level is Level.FGC]
+        clones = {m for m in sampled for bit in ignored if m & bit and m ^ bit in sampled}
+        assert all(ref.level(m) == ref.level(m ^ bit)
+                   for m in clones for bit in ignored if m & bit and m ^ bit in sampled)
+        ranked = _Scorer(model, data, s=100, seed=0, x=anchor).rank(sampled, len(sampled))
+        assert clones and ranked and clones.isdisjoint(ranked)
+        # by fitness alone some clones would rank above some kept rules
+        assert max(ref.score(m).score for m in clones) > min(ref.score(m).score for m in ranked)
+        for q in (1, 5, 50, len(pool)):
+            scorer = _Scorer(model, data, s=100, seed=0, x=anchor)
+            assert scorer.rank(pool, q) == rank_order(ref, pool)[:q]
+            assert scorer.rank(pool[::-1], q) == rank_order(ref, pool)[:q]

@@ -12,7 +12,7 @@ first). Its ``gen`` run never converges and stops at ``--max-iterations 40``
 with the default ``q=50``, so the output pins the crossover and mutation
 draws over many full-population iterations. Its ``gen-cf`` and ``greedy-cf``
 runs grow rules from the dual clauses of 12-feature anchors (``gen-cf``
-expands parents 160 times over 28 distinct clause families), so these
+expands parents 164 times over 37 distinct clause families), so these
 outputs pin the clauses, their covers and the rules grown from them.
 
 ``explain_rule12_greedy-cf_capped.txt`` is the only text-format golden: a
@@ -112,7 +112,7 @@ def test_rule12_gen_cf_enumerates_covers_once_per_family(monkeypatch, capsys):
     ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / "explain_rule12_gen-cf.json").read_text()
-    assert len(families) == len(set(families)) == 28
+    assert len(families) == len(set(families)) == 37
 
 
 def test_synthetic_report_matches_golden(tmp_path, capsys):

@@ -25,7 +25,6 @@ from rulecf import (
 from rulecf.harness import (
     RealCategory,
     SyntheticCategory,
-    _box_rows,
     box_dataset,
     default_experiment_schema,
     synthetic_dataset,
@@ -375,28 +374,6 @@ class TestDatasetDraws:
     """Histories keep their per-column ``rng.integers`` stream: the sampled
     grader reads uniforms instead, and the benchmark builds its inputs with
     these functions."""
-
-    @pytest.mark.parametrize("rows", [1, 7, 1000])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_box_rows_match_column_stack(self, rows, seed):
-        """The preallocated fill, with its one-value ranges drawn from no
-        generator, gives the matrix and final generator state of stacking a
-        column of ``rng.integers`` draws per feature."""
-        schema = small_schema((1, 5, 9, 2, 7))
-        pick = random.Random(seed)
-        for _ in range(12):
-            box = []
-            for f in schema.features:
-                size = len(f.domain)
-                lo = pick.randrange(size)
-                hi = pick.choice((lo, size - 1, pick.randrange(lo, size)))
-                box.append(range(0, size) if pick.random() < 0.2 else range(lo, hi + 1))
-            ref_rng = np.random.default_rng([seed, rows])
-            rng = np.random.default_rng([seed, rows])
-            expected = column_stack_rows(schema, box, rows, ref_rng)
-            got = _box_rows(schema, tuple(box), rows, rng)
-            assert np.array_equal(got.matrix, expected)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_builders_keep_the_column_stream(self, seed):
