@@ -87,10 +87,6 @@ class Counterfactual:
     changed: frozenset
     distance: float
 
-    @classmethod
-    def of(cls, anchor: Instance, x: tuple, dist: float) -> "Counterfactual":
-        return cls(x, changed_features(anchor, x), dist)
-
     @property
     def sort_key(self) -> tuple:
         return (self.distance, self.instance)
@@ -105,9 +101,6 @@ class CfResult:
     @property
     def found(self) -> bool:
         return bool(self.counterfactuals)
-
-
-NOT_FOUND = CfResult()
 
 
 def changed_features(anchor: Instance, x: Instance) -> frozenset:
@@ -255,8 +248,16 @@ def reduce_changes(
     return _reduce_all(anchor, [cand], (), good, score, {})[0]
 
 
-def _ranked(found: dict, k: int) -> CfResult:
-    return CfResult(tuple(sorted(found.values(), key=lambda cf: cf.sort_key)[:k]))
+def _ranked(anchor: tuple, points: Iterable[tuple], dists: _Distances, k: int) -> CfResult:
+    """The ``k`` nearest of the distinct reduced ``points``, in
+    ``Counterfactual.sort_key`` order: by distance (``dists.cache`` holds
+    each), then by instance. A ``Counterfactual`` is built only for each of
+    the at most ``k`` points returned."""
+    cache = dists.cache
+    nearest = sorted(points, key=lambda p: (cache[p], p))[:k]
+    return CfResult(tuple(
+        Counterfactual(p, changed_features(anchor, p), cache[p]) for p in nearest
+    ))
 
 
 class CounterfactualEngine:
@@ -277,7 +278,7 @@ class CounterfactualEngine:
         box = schema.box(query.rule)
         size = math.prod(len(r) for r in box)
         if size == 0:
-            return NOT_FOUND
+            return CfResult()
         anchor = query.anchor
         anchor_pos = [int(np.searchsorted(v, a)) for v, a in zip(schema.domain_arrays, anchor)]
         # every walk stays in the box, so reverting feature j leaves the box
@@ -310,10 +311,8 @@ class CounterfactualEngine:
         while done < len(goods) and len(found) < query.k:
             batch = goods[done:done + query.k - len(found)]
             done += len(batch)
-            for reduced in _reduce_all(anchor, batch, outside, good, mark_bad, memo):
-                if reduced not in found:
-                    found[reduced] = Counterfactual.of(anchor, reduced, dists.cache[reduced])
-        return _ranked(found, query.k)
+            found.update(dict.fromkeys(_reduce_all(anchor, batch, outside, good, mark_bad, memo)))
+        return _ranked(anchor, found, dists, query.k)
 
     # -- genetic path -------------------------------------------------------
 
@@ -370,8 +369,7 @@ class CounterfactualEngine:
             reduced = _reduce_all(anchor, starts, outside, good, evaluate, memo)
             new = [r for r in dict.fromkeys(reduced) if r not in goods]
             dists.fill(new)
-            for r in new:
-                goods[r] = Counterfactual.of(anchor, r, dists.cache[r])
+            goods.update(dict.fromkeys(new))
             return len(new)
 
         def select(cands: Iterable[tuple]) -> list:
@@ -412,4 +410,4 @@ class CounterfactualEngine:
             stall = 0 if absorb(offspring) else stall + 1
             pop = select(pop + offspring)
 
-        return _ranked(goods, query.k)
+        return _ranked(anchor, goods, dists, query.k)

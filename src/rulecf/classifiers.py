@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .schema import DatasetSchema, Instance, Rule, SchemaError
+from .schema import DatasetSchema, Direction, Instance, Rule, RuleComponent, SchemaError
 
 BAD_THRESHOLD = 0.5
 
@@ -244,9 +244,6 @@ class NetClassifier(Classifier):
 
 # -- model file parsing -------------------------------------------------------
 
-_KINDS = ("rule", "tree", "net")
-
-
 def _content_lines(text: str):
     """Yield (line_number, tokens) for non-blank, non-comment lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -287,8 +284,6 @@ def _parse_features_line(lines, path: str) -> int:
 
 
 def _load_rule_model(lines, path: str) -> RuleClassifier:
-    from .schema import Direction, RuleComponent
-
     n = _parse_features_line(lines, path)
     comps = []
     for lineno, tokens in lines:
@@ -304,11 +299,7 @@ def _load_rule_model(lines, path: str) -> RuleClassifier:
                 f"feature index {feature} outside 0..{n - 1}", path, lineno
             )
         comps.append(RuleComponent(feature, direction, bound))
-    try:
-        rule = Rule(tuple(comps))
-        return RuleClassifier(rule, n)
-    except SchemaError as exc:
-        raise ModelFormatError(str(exc), path) from exc
+    return RuleClassifier(Rule(tuple(comps)), n)
 
 
 def _load_tree_model(lines, path: str) -> TreeClassifier:
@@ -336,10 +327,7 @@ def _load_tree_model(lines, path: str) -> TreeClassifier:
         if nid in nodes:
             raise ModelFormatError(f"duplicate node id {nid}", path, lineno)
         nodes[nid] = entry
-    try:
-        return TreeClassifier(nodes, n)
-    except SchemaError as exc:
-        raise ModelFormatError(str(exc), path) from exc
+    return TreeClassifier(nodes, n)
 
 
 def _load_net_model(lines, path: str) -> NetClassifier:
@@ -377,10 +365,10 @@ def _load_net_model(lines, path: str) -> NetClassifier:
                 biases.append(np.array(values, dtype=np.float64))
     for lineno, _tokens in lines:
         raise ModelFormatError("trailing content after final layer", path, lineno)
-    try:
-        return NetClassifier(weights, biases)
-    except SchemaError as exc:
-        raise ModelFormatError(str(exc), path) from exc
+    return NetClassifier(weights, biases)
+
+
+_LOADERS = {"rule": _load_rule_model, "tree": _load_tree_model, "net": _load_net_model}
 
 
 def parse_model(text: str, path: str = "<model>") -> Classifier:
@@ -389,17 +377,16 @@ def parse_model(text: str, path: str = "<model>") -> Classifier:
         lineno, tokens = next(lines)
     except StopIteration:
         raise ModelFormatError("empty model file", path) from None
-    if len(tokens) != 1 or tokens[0] not in _KINDS:
+    if len(tokens) != 1 or tokens[0] not in _LOADERS:
         raise ModelFormatError(
-            f"unknown model kind {' '.join(tokens)!r} (expected one of {', '.join(_KINDS)})",
+            f"unknown model kind {' '.join(tokens)!r} (expected one of {', '.join(_LOADERS)})",
             path, lineno,
         )
-    kind = tokens[0]
-    if kind == "rule":
-        return _load_rule_model(lines, path)
-    if kind == "tree":
-        return _load_tree_model(lines, path)
-    return _load_net_model(lines, path)
+    # only the model constructors raise SchemaError; it reads as a format error
+    try:
+        return _LOADERS[tokens[0]](lines, path)
+    except SchemaError as exc:
+        raise ModelFormatError(str(exc), path) from exc
 
 
 def load_model(path) -> Classifier:

@@ -172,6 +172,9 @@ class _Scorer:
     (``_grading_uniforms``): sibling rules are compared on common random
     numbers. A component on a feature the model ignores then leaves ``vs``
     unchanged, so ranking drops such clones of a rule (``rank``).
+
+    One memo holds each graded mask's rank key and grade; the fitness is the
+    key's negated second entry.
     """
 
     def __init__(self, model: Classifier, data: Dataset, s: int, seed: int, x: Instance):
@@ -183,8 +186,7 @@ class _Scorer:
         self.codec = SlotCodec(x)
         good_rows = data.matrix[good_mask(model.predict_batch(data.matrix))]
         self._slot_rows, self._all_good = self.codec.row_bits(good_rows)
-        self._levels: dict = {}
-        self._keys: dict = {}
+        self._memo: dict = {}  # mask -> (rank key, grade)
         gc = ConsistencyLevel(Level.GC)
         n = self.schema.n
         # the negated fitness of a GC rule, by cardinality: a bound no grade beats
@@ -195,52 +197,55 @@ class _Scorer:
         slots = mask_slots(mask)
         return slots, rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
 
-    def level(self, mask: int, screened: Optional[tuple] = None) -> ConsistencyLevel:
-        """The grade of ``mask``, computed once; ``screened`` is its
-        ``_screen`` when the caller has it already."""
-        level = self._levels.get(mask)
-        if level is None:
+    def _grade(self, mask: int, screened: Optional[tuple] = None) -> tuple:
+        """The rank key and grade of ``mask``, computed once; ``screened`` is
+        its ``_screen``, used only when the mask is not yet graded."""
+        entry = self._memo.get(mask)
+        if entry is None:
             slots, vd = screened or self._screen(mask)
             components = self.codec.components_of(mask)
             level = _graded(vd, components, self.model, self.schema, self._u)
             score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
-            self._levels[mask] = level
             # rank_key's order on masks: slots ascend like sorted components
-            self._keys[mask] = (-int(level.level), -score, len(slots), slots)
-        return level
+            entry = self._memo[mask] = ((-int(level.level), -score, len(slots), slots), level)
+        return entry
+
+    def level(self, mask: int) -> ConsistencyLevel:
+        """The grade of ``mask``, computed once."""
+        return self._grade(mask)[1]
 
     def rank(self, masks: Iterable[int], q: int) -> list:
         """Deduplicate masks and drop clones (``_clone``); the best ``q`` of
         the rest in ``rank_key`` order.
 
-        Masks are taken in ascending order of the best key each can reach:
-        its key once graded, else its GC key, which a mask free of database
-        violations is graded for only when it is reached. Taking stops at
-        the ``q``-th mask kept; the masks not reached cannot enter. Every GC
-        key lies before every sampled rule's key, so all masks of the pool
-        are graded by the first clone test."""
-        keys = self._keys
+        The heap holds ``(key, mask)`` entries, taken in ascending order of
+        the best key each mask can reach: its key in the memo, else its GC
+        key, which a mask free of database violations is graded for only
+        when it is reached. A popped mask whose own key differs from its
+        entry's goes back in at its own key. Taking stops at the ``q``-th
+        mask kept; the masks not reached cannot enter. Every GC key lies
+        before every sampled rule's key, so all masks of the pool are graded
+        by the first clone test."""
+        memo = self._memo
         pool = dict.fromkeys(masks)
         heap = []
         for mask in pool:
-            if mask not in keys:
+            if mask not in memo:
                 slots, vd = screened = self._screen(mask)
                 if not vd:
                     card = len(slots)
-                    heap.append(((-int(Level.GC), self._gc_scores[card], card, slots), mask, False))
+                    heap.append(((-int(Level.GC), self._gc_scores[card], card, slots), mask))
                     continue
-                self.level(mask, screened)
-            heap.append((keys[mask], mask, True))
+                self._grade(mask, screened)
+            heap.append((memo[mask][0], mask))
         heapq.heapify(heap)
         top = []
         while heap and len(top) < q:
-            key, mask, graded = heapq.heappop(heap)
-            if not graded:
-                self.level(mask, (key[3], 0))
-                if keys[mask] != key:  # a sampled rule: back in at its own key
-                    heapq.heappush(heap, (keys[mask], mask, True))
-                    continue
-            if self._levels[mask].level is not Level.FGC or not self._clone(mask, pool):
+            key, mask = heapq.heappop(heap)
+            own, level = self._grade(mask, (key[3], 0))
+            if own != key:  # a sampled rule: back in at its own key
+                heapq.heappush(heap, (own, mask))
+            elif level.level is not Level.FGC or not self._clone(mask, pool):
                 top.append(mask)
         return top
 
@@ -250,14 +255,13 @@ class _Scorer:
         feature the model ignores leaves every sample's outcome and so ``vs``
         unchanged: such a superset tells the search nothing its subset does
         not, and kept, these copies of one rule would fill the population."""
-        level = self._levels[mask]
-        return any(
-            mask ^ bit in pool and self._levels[mask ^ bit] == level for bit in mask_bits(mask)
-        )
+        memo = self._memo
+        level = memo[mask][1]
+        return any(mask ^ bit in pool and memo[mask ^ bit][1] == level for bit in mask_bits(mask))
 
     def score(self, mask: int, oracle: Optional[CounterfactualOracle] = None) -> ScoredRule:
-        level = self.level(mask)
-        score = -self._keys[mask][1]  # the rank key holds the negated fitness
+        key, level = self._grade(mask)
+        score = -key[1]  # the rank key holds the negated fitness
         return ScoredRule(self.codec.rule(mask), level, score, _cf_verified(oracle, mask, level))
 
 
@@ -458,31 +462,28 @@ def greedy_rule_cf(
     """
     run = _Run(x, model, data, params, oracle)
     x, params, oracle = run.x, run.params, run.oracle
-    with run.phase("cfrules"):
-        pop = sorted(set(cf_rules([0], x, oracle)), key=mask_order)
-        final: Optional[int] = 0 if oracle.consistent(0, x) else None
-
     # children strictly contain their parent and the head is always a
     # smallest mask, so no head is popped twice
     iterations = 0
-    while final is None and pop:
-        head = pop.pop(0)
-        with run.phase("cfrules"):
+    with run.phase("cfrules"):
+        pop = sorted(set(cf_rules([0], x, oracle)), key=mask_order)
+        final: Optional[int] = 0 if oracle.consistent(0, x) else None
+        while final is None and pop:
+            head = pop.pop(0)
             if oracle.consistent(head, x):
                 final = head
+            elif iterations < params.max_iterations:
+                iterations += 1
+                pop = sorted(
+                    set(pop).union(cf_rules([head], x, oracle)), key=mask_order
+                )[: params.q]
+            else:
                 break
-        if iterations == params.max_iterations:
-            break
-        iterations += 1
-        with run.phase("cfrules"):
-            children = cf_rules([head], x, oracle)
-        pop = sorted(set(pop).union(children), key=mask_order)[: params.q]
 
-    converged = final is not None
-    if final is None:
-        # safety fallback: freezing every feature is always verifiable
-        final = run.scorer.codec.full
-        with run.phase("cfrules"):
+        converged = final is not None
+        if final is None:
+            # safety fallback: freezing every feature is always verifiable
+            final = run.scorer.codec.full
             oracle.consistent(final, x)
 
     return run.result([final], iterations, converged)

@@ -122,6 +122,10 @@ class Rule:
 
     def matrix_mask(self, X: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over a (rows, n) value matrix."""
+        # components ascend by feature, so the last one has the widest index
+        if self.components and self.components[-1].feature >= X.shape[1]:
+            raise SchemaError(f"instance has {X.shape[1]} values but component references "
+                              f"feature {self.components[-1].feature}")
         mask = np.ones(len(X), dtype=bool)
         for c in self.components:
             mask &= c.direction.holds(X[:, c.feature], c.bound)

@@ -254,6 +254,24 @@ class TestSynthetic:
         payload = json.loads(out)
         assert payload["kind"] == "synthetic-experiment"
 
+    def test_domain_size_sets_every_feature_domain(self, capsys):
+        code, out, _ = run(
+            ["synthetic", "--features", "4", "--domain-size", "5", "--components", "2",
+             "--trials", "1", "--rows", "50", "--algos", "greedy-cf"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["schema"]["domain_sizes"] == [5, 5, 5, 5]
+
+    def test_domain_size_too_small_for_an_interior_bound(self, capsys):
+        code, _, err = run(
+            ["synthetic", "--features", "4", "--domain-size", "2", "--components", "2",
+             "--trials", "1", "--rows", "50", "--algos", "greedy-cf"],
+            capsys,
+        )
+        assert code == 1
+        assert "error: feature 0 needs at least 3 domain values for an interior bound" in err
+
     def test_unknown_algorithm(self, capsys):
         code = main(["synthetic", "--algos", "wat", "--trials", "1"])
         _, err = capsys.readouterr()

@@ -229,6 +229,24 @@ class TestBruteForce:
         ) is BruteForceOutcome.CONSISTENT
 
 
+def test_a_feature_beyond_the_data_width_raises_schema_error_everywhere():
+    schema = small_schema((4, 4))
+    model = RuleClassifier(Rule((leq(0, 1),)), 2)
+    data = uniform_dataset(schema, 10, seed=0)
+    rule = Rule((leq(5, 1.0),))
+    width = "instance has 2 values but component references feature 5"
+    with pytest.raises(SchemaError, match=width):
+        rule.matrix_mask(np.zeros((3, 2)))
+    with pytest.raises(SchemaError, match=width):
+        violations_in_data(rule, data, model)
+    with pytest.raises(SchemaError, match=width):
+        consistency_level(rule, data, model, s=10)
+    with pytest.raises(SchemaError, match=width):
+        rule.evaluate((0.0, 0.0))
+    with pytest.raises(SchemaError):
+        brute_force_global_consistent(rule, model, schema)
+
+
 class TestConsistentCf:
     def setup_method(self):
         self.schema = small_schema((4, 4, 4))

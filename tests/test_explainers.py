@@ -693,7 +693,7 @@ class TestMaskOperatorsMatchRuleReference:
         unique = list(dict.fromkeys(masks))
         expected = rank_order(ref, masks)
         # masks of one cardinality and grade tie on fitness; the slots decide
-        assert len({ref._keys[m][:2] for m in unique}) < len(unique)
+        assert len({ref._memo[m][0][:2] for m in unique}) < len(unique)
         for q in (1, 50, len(unique) + 5):
             # a fresh scorer: nothing graded before this rank
             scorer = _Scorer(model, data, s=50, seed=seed, x=x)
@@ -748,7 +748,7 @@ def graded_in_full(model, data, x, s, seed):
     masks = list(range(scorer.codec.full + 1))
     for mask in masks:
         scorer.level(mask)
-    return scorer, model.calls - calls, sorted(masks, key=scorer._keys.__getitem__)
+    return scorer, model.calls - calls, sorted(masks, key=lambda m: scorer._memo[m][0])
 
 
 class TestRankBound:
@@ -774,7 +774,7 @@ class TestRankBound:
             scorer = _Scorer(model, data, s=40, seed=seed, x=x)
             for pool in pools + pools[:1]:
                 assert scorer.rank(pool, q) == rank_order(ref, pool)[:q]
-            assert all(scorer._levels[m] == ref.level(m) for m in scorer._levels)
+            assert all(level == ref.level(m) for m, (_key, level) in scorer._memo.items())
 
     def setup_method(self):
         self.schema = small_schema((4, 4, 4))
@@ -790,13 +790,13 @@ class TestRankBound:
         calls = self.model.calls
         assert scorer.rank(order[::-1], 3) == rank_order(ref, order)[:3]
         assert self.model.calls - calls < full_calls
-        assert len(scorer._levels) < len(order)
+        assert len(scorer._memo) < len(order)
 
     def test_a_pruned_mask_is_graded_once_a_later_pool_needs_it(self):
         ref, _, order = graded_in_full(self.model, self.data, self.anchor, 100, 0)
         scorer = _Scorer(self.model, self.data, s=100, seed=0, x=self.anchor)
         top = scorer.rank(order[::-1], 3)
-        pruned = [m for m in order if m not in scorer._levels]
+        pruned = [m for m in order if m not in scorer._memo]
         assert pruned
         # the same pool again grades nothing more
         calls = self.model.calls
