@@ -12,11 +12,13 @@ a feature with more alternatives than its share of the cap is seeded with a
 random sample of them, and that exactness no longer holds.
 
 Returned counterfactuals are redundancy-reduced: no single changed feature
-can be reverted to the anchor value without losing the good outcome. One
-kernel, :func:`_reduce_all`, reduces for both paths and for
-:func:`reduce_changes`. It walks all candidates of a call in lock step, so
-each round scores every revert the walks wait on in one ``predict_batch``,
-and it memoises each visited point's reduced point for the whole query.
+can be reverted to the anchor value without losing the good outcome. The
+exhaustive path, having scored the whole box, keeps the ``k`` nearest good
+points that no in-box revert keeps good. The genetic path and
+:func:`reduce_changes` share one kernel, :func:`_reduce_all`. It walks all
+candidates of a call in lock step, so each round scores every revert the
+walks wait on in one ``predict_batch``, and it memoises each visited
+point's reduced point for the whole query.
 Each distinct point's :func:`distance` is computed once per query, in
 vectorised form and bit for bit equal.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Collection, Iterable
 
 import numpy as np
@@ -235,6 +238,8 @@ def reduce_changes(
     """
     cand = tuple(float(v) for v in cand)
     anchor = tuple(float(v) for v in anchor)
+    if len(anchor) != len(cand):
+        raise SchemaError("anchor and candidate must have the same width")
     if model.is_bad(cand):
         raise ValueError("candidate must have a good outcome before reduction")
     good = {cand: True}
@@ -297,22 +302,14 @@ class CounterfactualEngine:
         dists = _Distances(schema, anchor)
         goods = dists.sort(points)
 
-        # a revert that stays in the box is good iff it lands on a good point
-        good = dict.fromkeys(goods, True)
-
-        def mark_bad(reverted: list) -> None:
-            good.update(dict.fromkeys(reverted, False))
-
-        # reduce the goods in distance order until k distinct counterfactuals
-        # are found; a batch of k - len(found) cannot overshoot
-        found: dict = {}
-        memo: dict = {}
-        done = 0
-        while done < len(goods) and len(found) < query.k:
-            batch = goods[done:done + query.k - len(found)]
-            done += len(batch)
-            found.update(dict.fromkeys(_reduce_all(anchor, batch, outside, good, mark_bad, memo)))
-        return _ranked(anchor, found, dists, query.k)
+        # every box point is scored and an in-box revert lowers the distance
+        # strictly, so a good point reduces to an irreducible one earlier in
+        # ``goods``: the reduced points of a prefix are its irreducible points
+        good = set(goods)
+        free = [j for j in range(schema.n) if j not in outside]
+        irreducible = (p for p in goods if not any(
+            p[j] != anchor[j] and p[:j] + (anchor[j],) + p[j + 1:] in good for j in free))
+        return _ranked(anchor, islice(irreducible, query.k), dists, query.k)
 
     # -- genetic path -------------------------------------------------------
 
@@ -392,7 +389,7 @@ class CounterfactualEngine:
                 break
             offspring = []
             for _ in range(POPULATION_SIZE):
-                if len(pop) >= 2 and rng.random() < 0.3:
+                if rng.random() < 0.3:
                     a, b = sample_picks(getrandbits, pop, 2)
                     if b not in changed:
                         changed[b] = [j for j, (u, v) in enumerate(zip(anchor, b)) if u != v]

@@ -50,9 +50,11 @@ def minimal_set_covers(family: Iterable[int]) -> list:
 
     Sorted by size, then by ascending slot tuple. The empty family is covered
     by the empty mask alone. Branches on the slots of the first un-hit
-    clause; every minimal cover is reachable this way. A cover is minimal iff
-    each of its slots is the only one of the cover hitting some clause, so
-    each cover the branching reaches is kept or dropped on the spot.
+    clause, each branch banning the clause's lower slots: no mask is built
+    twice, and a minimal cover is reached through its lowest slot in each
+    clause. A cover is minimal iff each of its slots is the only one of the
+    cover hitting some clause, so each cover reached is kept or dropped on
+    the spot.
     """
     clauses = set(family)
     if 0 in clauses:
@@ -64,26 +66,23 @@ def minimal_set_covers(family: Iterable[int]) -> list:
             kept.append(clause)
 
     covers: list = []
-    seen: set = set()
     # a minimal cover has one clause hit by each slot alone, so its size
     # never exceeds the clause count; deeper branches are dead ends
     max_size = len(kept)
 
-    def extend(chosen: int) -> None:
-        if chosen in seen:
-            return
-        seen.add(chosen)
+    def extend(chosen: int, banned: int) -> None:
         for clause in kept:
             if not clause & chosen:
                 if chosen.bit_count() < max_size:
-                    for bit in mask_bits(clause):
-                        extend(chosen | bit)
+                    for bit in mask_bits(clause & ~banned):
+                        extend(chosen | bit, banned)
+                        banned |= bit
                 return
         hits = {clause & chosen for clause in kept}
         if all(bit in hits for bit in mask_bits(chosen)):
             covers.append(chosen)
 
-    extend(0)
+    extend(0, 0)
     return sorted(covers, key=mask_order)
 
 

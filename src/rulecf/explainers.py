@@ -420,7 +420,7 @@ def _run_genetic(
             converged = True
             break
 
-    if use_cf and topk and oracle.consistent(topk[0], x):
+    if use_cf and oracle.consistent(topk[0], x):
         with run.phase("reduce"):
             reduced = reduce_redundancy(topk[0], x, oracle)
         if reduced != topk[0]:

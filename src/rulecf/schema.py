@@ -425,6 +425,9 @@ class SlotCodec:
 
     def components_of(self, mask: int) -> tuple:
         """The components of ``mask``'s slots, in canonical order."""
+        if mask < 0 or mask > self.full:
+            raise SchemaError(f"mask {mask} is not a set of the anchor's "
+                              f"{len(self.components)} slots")
         comps = self.components
         return tuple(comps[bit.bit_length() - 1] for bit in mask_bits(mask))
 

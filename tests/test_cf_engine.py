@@ -10,6 +10,7 @@ from rulecf import (
     GoodAnchorError,
     Rule,
     RuleClassifier,
+    SchemaError,
     distance,
     geq,
     leq,
@@ -94,6 +95,12 @@ class TestReduceChanges:
         reduced = reduce_changes((1.0, 1.0), (5.0, 9.0), model, rule=Rule((geq(1, 5),)))
         assert reduced == (5.0, 9.0)
         assert model.calls - calls == 2  # the candidate and the F0 revert
+
+    @pytest.mark.parametrize("anchor", [(0.0,), (0.0, 0.0, 0.0)])
+    def test_anchor_of_another_width_rejected(self, anchor):
+        model = RuleClassifier(Rule((leq(0, 1),)), 2)
+        with pytest.raises(SchemaError, match="same width"):
+            reduce_changes(anchor, (2.0, 2.0), model)
 
     def test_requires_good_candidate(self):
         model = RuleClassifier(Rule((leq(0, 2),)), 1)
@@ -204,6 +211,58 @@ class TestFindCounterfactuals:
                     distance(anchor, cf.instance, schema)
                 )
         assert checked > 10
+
+
+class TestExhaustiveClosedForm:
+    """On an enumerated box the engine returns the k nearest good points of
+    the box none of whose single reverts lands on a good point of the box."""
+
+    @staticmethod
+    def _random_rule(anchor, schema, rng):
+        comps = [c for c in trivial_rule(anchor).components if rng.random() < 0.3]
+        if rng.random() < 0.5:
+            # a bound on feature j that the anchor's own value breaks
+            j = rng.randrange(schema.n)
+            domain = schema.domain(j)
+            comps = [c for c in comps if c.feature != j]
+            if anchor[j] < domain[-1]:
+                comps.append(geq(j, rng.choice([v for v in domain if v > anchor[j]])))
+            else:
+                comps.append(leq(j, rng.choice([v for v in domain if v < anchor[j]])))
+        return Rule(tuple(comps))
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("builder", [random_rule_model, random_tree, random_net])
+    def test_k_nearest_irreducible_good_points(self, builder, k):
+        rng = random.Random(f"{builder.__name__}-{k}")
+        schema = small_schema((3, 4, 5))
+        space = all_instances(schema)
+        data = uniform_dataset(schema, 20)
+        budget = CfBudget(exhaustive_cap=len(space))
+        engine = CounterfactualEngine()
+        compared = excluded = 0
+        for trial in range(40):
+            model = builder(schema, rng)
+            bad = [x for x in space if model.predict(x) <= 0.5]
+            if not bad:
+                continue
+            anchor = rng.choice(bad)
+            rule = self._random_rule(anchor, schema, rng)
+            good = {x for x in space if rule.evaluate(x) and model.predict(x) > 0.5}
+            irreducible = [
+                p for p in good
+                if not any(p[j] != a and p[:j] + (a,) + p[j + 1:] in good
+                           for j, a in enumerate(anchor))
+            ]
+            want = sorted(irreducible, key=lambda p: (distance(anchor, p, schema), p))[:k]
+            result = engine.find_counterfactuals(
+                model, data, CfQuery(anchor=anchor, rule=rule, k=k, budget=budget, seed=trial)
+            )
+            assert [cf.instance for cf in result.counterfactuals] == want
+            compared += bool(want)
+            excluded += not rule.evaluate(anchor)
+        assert engine.exhaustive_runs == engine.queries
+        assert compared > 10 and excluded > 5
 
 
 class TestBoxComplianceSweep:

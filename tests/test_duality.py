@@ -328,6 +328,17 @@ class TestOracleAnchor:
         with pytest.raises(ValueError, match="answers for anchor"):
             oracle.outcome(0, (1.0, 0.0))
 
+    @pytest.mark.parametrize("mask", [1 << 4, 1 << 7, -1])
+    def test_mask_beyond_the_anchor_rejected(self, mask):
+        schema = small_schema((4, 4))
+        data = uniform_dataset(schema, 25)
+        model = RuleClassifier(Rule((leq(0, 1),)), 2)
+        oracle = CounterfactualOracle(model, data, k=3, seed=0)
+        with pytest.raises(SchemaError, match="slots"):
+            oracle.consistent(mask, (0.0, 0.0))
+        assert oracle.engine.queries == 0
+        assert mask not in oracle.cache
+
     def test_shared_oracle_across_greedy_runs(self):
         schema = small_schema((4, 4, 4))
         data = uniform_dataset(schema, 25)

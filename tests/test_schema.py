@@ -253,6 +253,16 @@ class TestRuleConstruction:
         assert codec.rule(mask) == rule
         assert [codec.slot(c) for c in rule] == [0, 1, 5]
 
+    @pytest.mark.parametrize("mask", [1 << 4, 1 << 5, -1, -4])
+    def test_codec_rejects_a_mask_beyond_the_anchor(self, mask):
+        # two features make four slots: bits 0-3
+        codec = SlotCodec((0.0, 1.0))
+        with pytest.raises(SchemaError, match="slots"):
+            codec.components_of(mask)
+        with pytest.raises(SchemaError, match="slots"):
+            codec.rule(mask)
+        assert codec.rule(codec.full).cardinality == 4
+
 
 class TestSchemaTypes:
     def test_domain_must_ascend(self):
