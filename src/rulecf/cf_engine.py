@@ -15,10 +15,10 @@ Returned counterfactuals are redundancy-reduced: no single changed feature
 can be reverted to the anchor value without losing the good outcome. The
 exhaustive path, having scored the whole box, keeps the ``k`` nearest good
 points that no in-box revert keeps good. The genetic path and
-:func:`reduce_changes` share one kernel, :func:`_reduce_all`. It walks all
-candidates of a call in lock step, so each round scores every revert the
-walks wait on in one ``predict_batch``, and it memoises each visited
-point's reduced point for the whole query.
+:func:`reduce_changes` share one kernel, :func:`_reduce_all`. It advances
+one generator walk per candidate in lock step, so each round scores every
+revert the walks wait on in one ``predict_batch``, and the walks memoise
+each visited point's reduced point for the whole query.
 Each distinct point's :func:`distance` is computed once per query, in
 vectorised form and bit for bit equal.
 """
@@ -166,6 +166,37 @@ class _Distances:
         return ordered
 
 
+def _walk(anchor: tuple, start: tuple, frozen: Collection[int], good: dict, memo: dict):
+    """Reduce ``start``: revert its changed features to the anchor one at a
+    time, in ascending order and restarting after each revert that keeps the
+    outcome good, until no revert does; then map each point passed to the
+    reduced point in ``memo``.
+
+    A revert with no verdict in ``good`` is yielded, to be scored before the
+    walk resumes. A revert of a feature in ``frozen`` is never accepted or
+    scored. The walk from a point depends only on that point, so the walk
+    stops at the first memoised point, looking again after each yield.
+    """
+    current = start
+    features = [j for j, (a, v) in enumerate(zip(anchor, start)) if a != v and j not in frozen]
+    pos, path = 0, []
+    while current not in memo and pos < len(features):
+        j = features[pos]
+        reverted = current[:j] + (anchor[j],) + current[j + 1:]
+        verdict = good.get(reverted)
+        if verdict is None:
+            yield reverted
+        elif verdict:
+            path.append(current)
+            current = reverted
+            del features[pos]
+            pos = 0
+        else:
+            pos += 1
+    reduced = memo.setdefault(current, current)
+    memo.update(dict.fromkeys(path, reduced))
+
+
 def _reduce_all(
     anchor: tuple,
     cands: list,
@@ -176,50 +207,21 @@ def _reduce_all(
 ) -> list:
     """The redundancy-reduced point of each good point of ``cands``.
 
-    A point's walk reverts its changed features to the anchor one at a time,
-    trying them in ascending order and restarting after each revert that
-    keeps the outcome good, until no revert does. A revert of a feature in
-    ``frozen`` is never accepted and never scored.
-
-    ``good`` maps each scored point to whether its outcome is good. All walks
-    advance in lock step: a walk goes on through scored points and stops at
-    the first revert that has no score, and the round ends with one call
-    ``score(points)`` for every revert the walks stop at, which must enter
-    those points into ``good``. The walk from a point depends only on that
-    point, so ``memo`` maps each point a walk passed to its reduced point,
-    and a walk that reaches a memoised point stops there.
+    ``good`` maps each scored point to whether its outcome is good, and
+    ``memo`` each point a walk passed to its reduced point (see
+    :func:`_walk`). All walks advance in lock step: each round takes every
+    walk to its next revert without a score, and one call ``score(points)``
+    for those reverts, which must enter them into ``good``, ends the round.
     """
-    walks = [
-        [c, [j for j, (a, v) in enumerate(zip(anchor, c)) if a != v and j not in frozen], 0, []]
-        for c in dict.fromkeys(cands) if c not in memo
-    ]
+    walks = [_walk(anchor, c, frozen, good, memo) for c in dict.fromkeys(cands) if c not in memo]
     while walks:
-        waiting: list = []
         pending: dict = {}
+        waiting = []
         for walk in walks:
-            current, features, pos, path = walk
-            while current not in memo and pos < len(features):
-                j = features[pos]
-                reverted = current[:j] + (anchor[j],) + current[j + 1:]
-                verdict = good.get(reverted)
-                if verdict is None:
-                    pending[reverted] = None
-                    break
-                if verdict:
-                    path.append(current)
-                    current = reverted
-                    del features[pos]
-                    pos = 0
-                else:
-                    pos += 1
-            else:
-                reduced = memo.get(current, current)
-                memo[current] = reduced
-                for state in path:
-                    memo[state] = reduced
-                continue
-            walk[0], walk[2] = current, pos
-            waiting.append(walk)
+            reverted = next(walk, None)
+            if reverted is not None:
+                pending[reverted] = None
+                waiting.append(walk)
         if pending:
             score(list(pending))
         walks = waiting

@@ -23,8 +23,9 @@ BAD_THRESHOLD = 0.5
 
 
 def is_bad_score(score: float) -> bool:
-    """Scores at or below 0.5 are the undesired outcome."""
-    return score <= BAD_THRESHOLD
+    """Scores at or below 0.5 are the undesired outcome, and so is NaN: the
+    negation of :func:`good_mask`'s test."""
+    return not score > BAD_THRESHOLD
 
 
 def good_mask(scores) -> np.ndarray:
@@ -229,6 +230,8 @@ class NetClassifier(Classifier):
                     f"layer {i} expects {w.shape[1]} inputs but layer {i - 1} "
                     f"produces {weights[i - 1].shape[0]}"
                 )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise SchemaError(f"layer {i} has a weight or bias that is not finite")
         if weights[-1].shape[0] != 1:
             raise SchemaError("final layer must have output dimension 1")
         self.weights = weights

@@ -25,22 +25,35 @@ from .harness import (
 from .schema import SchemaError, SlotCodec, make_schema
 
 
+# the SearchParams fields the command line sets, in flag order, with the
+# --help text of their flags
+SEARCH_FLAGS = {
+    "q": "population kept per iteration",
+    "k": "rules returned",
+    "s": "consistency samples per rule",
+    "m": "mutations per candidate",
+    "c": "crossovers per pair",
+    "cf_period": None,
+    "max_iterations": None,
+    "seed": None,
+}
+
+
 def _parse_groups(raw_groups):
     groups = {}
     for item in raw_groups or []:
         if "=" not in item:
             raise SchemaError(f"--group expects NAME=col1,col2,... got {item!r}")
         name, cols = item.split("=", 1)
-        groups[name.strip()] = [c.strip() for c in cols.split(",") if c.strip()]
+        name = name.strip()
+        if name in groups:
+            raise SchemaError(f"--group {name!r} is given more than once")
+        groups[name] = [c.strip() for c in cols.split(",") if c.strip()]
     return groups
 
 
 def _search_params(args) -> SearchParams:
-    return SearchParams(
-        q=args.q, k=args.k, s=args.s, m=args.m, c=args.c,
-        seed=args.seed, cf_period=args.cf_period,
-        max_iterations=args.max_iterations,
-    )
+    return SearchParams(**{name: getattr(args, name) for name in SEARCH_FLAGS})
 
 
 def _rule_payload(scored, schema):
@@ -132,11 +145,7 @@ def cmd_synthetic(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "dataset_rows": args.rows,
-        "params": {
-            "q": params.q, "k": params.k, "s": params.s, "m": params.m,
-            "c": params.c, "cf_period": params.cf_period,
-            "max_iterations": params.max_iterations,
-        },
+        "params": {name: getattr(params, name) for name in SEARCH_FLAGS if name != "seed"},
         "results": [r.to_payload(include_timing=args.timings) for r in reports],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -184,16 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     d = SearchParams()
 
-    def add_search_flags(p):
-        p.add_argument("--q", type=int, default=d.q, help="population kept per iteration")
-        p.add_argument("--k", type=int, default=d.k, help="rules returned")
-        p.add_argument("--s", type=int, default=d.s, help="consistency samples per rule")
-        p.add_argument("--m", type=int, default=d.m, help="mutations per candidate")
-        p.add_argument("--c", type=int, default=d.c, help="crossovers per pair")
-        p.add_argument("--cf-period", type=int, default=d.cf_period, dest="cf_period")
-        p.add_argument("--max-iterations", type=int, default=d.max_iterations,
-                       dest="max_iterations")
-        p.add_argument("--seed", type=int, default=d.seed)
+    def add_search_flags(p, flags=SEARCH_FLAGS):
+        for name, text in flags.items():
+            p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(d, name),
+                           dest=name, help=text)
 
     p_explain = sub.add_parser("explain", help="explain one dataset instance")
     p_explain.add_argument("--data", required=True)
@@ -228,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="sample")
     p_verify.add_argument("--instance", type=int, default=None,
                           help="anchor row (required for --mode cf)")
-    p_verify.add_argument("--s", type=int, default=d.s)
-    p_verify.add_argument("--seed", type=int, default=d.seed)
+    # verify's two flags carry no help text
+    add_search_flags(p_verify, dict.fromkeys(("s", "seed")))
     p_verify.add_argument("--group", action="append", metavar="NAME=c1,c2,...")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import math
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .schema import (
@@ -104,10 +106,18 @@ def ingest_csv(path, groups: Optional[Mapping[str, Sequence[str]]] = None) -> Da
     if not instances:
         raise IngestError(f"{path}: no data rows")
 
-    schemas = []
-    for pos, (fname, gtag, _source) in enumerate(features):
-        domain = tuple(sorted({row[pos] for row in instances}))
-        schemas.append(FeatureSchema(pos, fname, domain, group=gtag))
+    domains = [tuple(sorted({row[pos] for row in instances})) for pos in range(len(features))]
+    if not all(map(math.isfinite, chain.from_iterable(domains))):
+        # a group's value is an index, so only an ungrouped cell is to blame
+        for rownum, (row, values) in enumerate(zip(raw_rows, instances), start=2):
+            for v, (_fname, _gtag, source) in zip(values, features):
+                if not math.isfinite(v):
+                    raise IngestError(f"non-finite cell {row[col_index[source]].strip()!r} "
+                                      f"at row {rownum}, column {source!r}")
+    schemas = [
+        FeatureSchema(pos, fname, domain, group=gtag)
+        for pos, ((fname, gtag, _source), domain) in enumerate(zip(features, domains))
+    ]
     return Dataset(DatasetSchema(tuple(schemas)), tuple(instances))
 
 

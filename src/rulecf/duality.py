@@ -59,6 +59,8 @@ def minimal_set_covers(family: Iterable[int]) -> list:
     clauses = set(family)
     if 0 in clauses:
         raise SchemaError("an empty clause cannot be hit")
+    if min(clauses, default=0) < 0:
+        raise SchemaError(f"clause mask {min(clauses)} is not a set of slots")
     # a clause containing another clause is hit whenever the smaller one is
     kept: list = []
     for clause in sorted(clauses, key=mask_order):

@@ -192,23 +192,31 @@ class _Scorer:
         # the negated fitness of a GC rule, by cardinality: a bound no grade beats
         self._gc_scores = [-fitness(card, n, gc, data.m, s) for card in range(2 * n + 1)]
 
-    def _screen(self, mask: int) -> tuple:
-        """The slots of ``mask`` and the good database rows in its box."""
-        slots = mask_slots(mask)
-        return slots, rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
-
-    def _grade(self, mask: int, screened: Optional[tuple] = None) -> tuple:
-        """The rank key and grade of ``mask``, computed once; ``screened`` is
-        its ``_screen``, used only when the mask is not yet graded."""
+    def _grade(self, mask: int) -> tuple:
+        """The rank key and grade of ``mask``, computed once."""
         entry = self._memo.get(mask)
         if entry is None:
-            slots, vd = screened or self._screen(mask)
+            slots = mask_slots(mask)
+            vd = rows_in_box(slots, self._slot_rows, self._all_good).bit_count()
             components = self.codec.components_of(mask)
             level = _graded(vd, components, self.model, self.schema, self._u)
             score = fitness(len(slots), self.schema.n, level, self.data.m, self.s)
             # rank_key's order on masks: slots ascend like sorted components
             entry = self._memo[mask] = ((-int(level.level), -score, len(slots), slots), level)
         return entry
+
+    def _bound(self, mask: int) -> tuple:
+        """The best rank key ``mask`` can reach: its key once graded, and a
+        mask with a database violation is graded at once, as FDC needs no
+        sampling; else the GC key of its cardinality."""
+        entry = self._memo.get(mask)
+        if entry is None:
+            slots = mask_slots(mask)
+            if not rows_in_box(slots, self._slot_rows, self._all_good):
+                card = len(slots)
+                return (-int(Level.GC), self._gc_scores[card], card, slots)
+            entry = self._grade(mask)
+        return entry[0]
 
     def level(self, mask: int) -> ConsistencyLevel:
         """The grade of ``mask``, computed once."""
@@ -219,30 +227,19 @@ class _Scorer:
         the rest in ``rank_key`` order.
 
         The heap holds ``(key, mask)`` entries, taken in ascending order of
-        the best key each mask can reach: its key in the memo, else its GC
-        key, which a mask free of database violations is graded for only
-        when it is reached. A popped mask whose own key differs from its
-        entry's goes back in at its own key. Taking stops at the ``q``-th
-        mask kept; the masks not reached cannot enter. Every GC key lies
-        before every sampled rule's key, so all masks of the pool are graded
-        by the first clone test."""
-        memo = self._memo
+        the best key each mask can reach (``_bound``), so a mask free of
+        database violations is graded only when it is reached. A popped mask
+        whose own key differs from its entry's goes back in at its own key.
+        Taking stops at the ``q``-th mask kept; the masks not reached cannot
+        enter. Every GC key lies before every sampled rule's key, so all
+        masks of the pool are graded by the first clone test."""
         pool = dict.fromkeys(masks)
-        heap = []
-        for mask in pool:
-            if mask not in memo:
-                slots, vd = screened = self._screen(mask)
-                if not vd:
-                    card = len(slots)
-                    heap.append(((-int(Level.GC), self._gc_scores[card], card, slots), mask))
-                    continue
-                self._grade(mask, screened)
-            heap.append((memo[mask][0], mask))
+        heap = [(self._bound(mask), mask) for mask in pool]
         heapq.heapify(heap)
         top = []
         while heap and len(top) < q:
             key, mask = heapq.heappop(heap)
-            own, level = self._grade(mask, (key[3], 0))
+            own, level = self._grade(mask)
             if own != key:  # a sampled rule: back in at its own key
                 heapq.heappush(heap, (own, mask))
             elif level.level is not Level.FGC or not self._clone(mask, pool):

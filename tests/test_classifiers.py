@@ -15,7 +15,7 @@ from rulecf import (
     leq,
     parse_model,
 )
-from rulecf.classifiers import TreeLeaf, TreeNode
+from rulecf.classifiers import TreeLeaf, TreeNode, good_mask, is_bad_score
 
 from conftest import all_instances, random_net, random_tree, small_schema
 
@@ -156,6 +156,19 @@ class TestNetClassifier:
                 [np.ones((3, 4)), np.ones((1, 5))],
                 [np.zeros(3), np.zeros(1)],
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_or_bias_rejected(self, bad):
+        # as parse_model rejects a non-finite literal in a model file
+        with pytest.raises(SchemaError, match="layer 0 .*not finite"):
+            NetClassifier([np.array([[bad, 1.0]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)])
+        with pytest.raises(SchemaError, match="layer 1 .*not finite"):
+            NetClassifier([np.array([[0.0, 1.0]]), np.array([[1.0]])], [np.zeros(1), np.array([bad])])
+
+
+@pytest.mark.parametrize("score", [0.0, 0.5, 0.75, 1.0, np.inf, -np.inf, np.nan])
+def test_is_bad_score_negates_good_mask(score):
+    assert is_bad_score(score) == (not good_mask([score])[0])
 
 
 class TestRuleOutcomeEquivalence:

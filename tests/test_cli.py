@@ -86,6 +86,16 @@ class TestExplain:
         assert code == 1
         assert "--instance" in err
 
+    def test_non_finite_cell_fails_cleanly(self, workdir, capsys):
+        (workdir / "data.csv").write_text(CSV.replace("33,3,500,2", "33,3,inf,2"))
+        code, _, err = run(
+            ["explain", "--data", str(workdir / "data.csv"),
+             "--model", str(workdir / "model.txt"), "--instance", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert "error: non-finite cell 'inf' at row 7, column 'income'" in err
+
     def test_stdout_deterministic(self, workdir, capsys):
         argv = ["explain", "--data", str(workdir / "data.csv"),
                 "--model", str(workdir / "model.txt"),
@@ -285,6 +295,19 @@ class TestSynthetic:
 ])
 def test_search_flag_defaults_are_search_params_defaults(argv):
     assert _search_params(build_parser().parse_args(argv)) == SearchParams()
+
+
+@pytest.mark.parametrize("command", ["explain", "verify"])
+def test_repeated_group_name_rejected(workdir, capsys, command):
+    (workdir / "rule.txt").write_text("age >= 41\n")
+    target = {"explain": ["--instance", "0"], "verify": ["--rule", str(workdir / "rule.txt")]}
+    code, _, err = run(
+        [command, "--data", str(workdir / "data.csv"), "--model", str(workdir / "model.txt"),
+         "--group", "g=acc,debt", "--group", "g=income", *target[command]],
+        capsys,
+    )
+    assert code == 1
+    assert "error: --group 'g' is given more than once" in err
 
 
 def test_verify_defaults_are_search_params_defaults():

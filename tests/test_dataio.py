@@ -45,6 +45,13 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"row 3.*'b'"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_cell_reported_with_position(self, tmp_path, cell):
+        # the first non-finite cell in row-major order is named
+        path = write(tmp_path, f"a,b\n1,2\n1, {cell}\n-inf,3\n")
+        with pytest.raises(IngestError, match=f"non-finite cell '{cell}' at row 3, column 'b'"):
+            ingest_csv(path)
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_csv(write(tmp_path, ""))

@@ -134,6 +134,11 @@ class TestMinimalSetCovers:
         with pytest.raises(SchemaError):
             minimal_set_covers([0])
 
+    def test_negative_clause_rejected(self):
+        # a negative int is no set of slots: its bits never run out
+        with pytest.raises(SchemaError, match="clause mask -3"):
+            minimal_set_covers([mask(1), -3])
+
 
 class TestCoverExpansionCaps:
     def test_size_cap_applies_to_residual(self):
